@@ -90,11 +90,18 @@ load:
 # the orchestration layer's migration-under-fault suite (worker kill,
 # heartbeat-declared death, mid-block sever + live migration), and the
 # resync suite (ack suppression surviving drops, severs, and resumption
-# with bit-identical digests and zero acks on suppressed edges).
-# Deterministic (seeded), so failures reproduce.
+# with bit-identical digests and zero acks on suppressed edges), and the
+# link-writer liveness tests (readers never write, a deaf peer is still
+# detected, stats never wait on a stuck write, a severed worker rejoins).
+# Deterministic (seeded), so failures reproduce. It ends with an orch
+# soak: a 3-worker in-process pool over loopback running ~167k six-
+# iteration epochs (about 2.5 minutes on a 2-CPU host) with a planned
+# migration and a worker kill mid-run, digests verified bit for bit
+# against the static run.
 chaos:
-	$(GO) test -race -run 'Chaos|Degraded|Fault|BatchResume|BatchFlushDeadline|Heartbeat|Stall|Deadline|Reap|Orchestrated|Migration|Resync' -count=1 \
+	$(GO) test -race -run 'Chaos|Degraded|Fault|BatchResume|BatchFlushDeadline|Heartbeat|Stall|Deadline|Reap|Orchestrated|Migration|Resync|ReadPathNeverWrites|StatsReadersNeverWaitOnWrite' -count=1 \
 		./internal/transport ./internal/spi ./internal/lpc ./cmd/spinode ./internal/session ./internal/orch
+	$(GO) run ./cmd/spictl -inproc 3 -iters 1000000 -epoch 6 -seed 11 -migrate-at 40000 -kill w2@80000 -verify -deadline 10m
 
 # Orchestration smoke: a 3-worker in-process pool under spictl, first
 # with a forced live migration (planned rotation at epoch 2, zero

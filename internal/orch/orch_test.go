@@ -366,14 +366,16 @@ func (s *ctrlFaultTransport) Dial(addr string) (transport.Conn, error) {
 // link mid-block under a seeded fault schedule. The coordinator must see
 // the dead link, reap the worker, migrate its actors (SRC included) onto
 // the survivors, and replay — with sink digests bit-identical to the
-// static run.
+// static run. The worker itself is alive and rejoins over a fresh control
+// link; MaxFaults confines the schedule to the first one, so the rejoined
+// worker is not severed again.
 func TestOrchestratedChaosSeverMigration(t *testing.T) {
 	const iterations = 24
 	want := staticDigests(t, iterations)
 	r := newRig(t)
 	defer r.stopAll()
 	ft := transport.NewFaultTransport(r.tr, transport.FaultConfig{
-		Seed: 7, SeverAt: []int{9}, SkipFrames: 4,
+		Seed: 7, SeverAt: []int{9}, SkipFrames: 4, MaxFaults: 1,
 	})
 	// Stagger the registrations so w0 takes slot 0 — the source worker:
 	// with uniform load the balancer leaves proc 0 (SRC) on the first
@@ -398,9 +400,6 @@ func TestOrchestratedChaosSeverMigration(t *testing.T) {
 	}
 	if rep.Iterations != iterations {
 		t.Errorf("committed %d iterations, want %d", rep.Iterations, iterations)
-	}
-	if err := <-r.errs["w0"]; err == nil {
-		t.Error("severed worker exited cleanly")
 	}
 }
 
@@ -430,5 +429,73 @@ func TestOrchestratedLateJoiner(t *testing.T) {
 	}
 	if rep.Migrations == 0 {
 		t.Error("late joiner never picked up rebalanced processors")
+	}
+}
+
+// severTransport remembers the worker's latest control connection (its
+// dial to the coordinator address) so a test can cut it while the worker
+// itself stays alive.
+type severTransport struct {
+	transport.Transport
+	coord string
+	mu    sync.Mutex
+	conn  transport.Conn
+}
+
+func (s *severTransport) Dial(addr string) (transport.Conn, error) {
+	c, err := s.Transport.Dial(addr)
+	if err == nil && addr == s.coord {
+		s.mu.Lock()
+		s.conn = c
+		s.mu.Unlock()
+	}
+	return c, err
+}
+
+func (s *severTransport) Sever() {
+	s.mu.Lock()
+	c := s.conn
+	s.mu.Unlock()
+	if c != nil {
+		c.Close()
+	}
+}
+
+// TestOrchestratedWorkerRejoins severs a live worker's control link as an
+// epoch dispatches. The coordinator reaps it, but the worker is alive: it
+// must redial and register again, rejoining the pool, while the run
+// completes with digests bit-identical to the static run.
+func TestOrchestratedWorkerRejoins(t *testing.T) {
+	const iterations = 48
+	want := staticDigests(t, iterations)
+	r := newRig(t)
+	defer r.stopAll()
+	st := &severTransport{Transport: r.tr, coord: "coord"}
+	r.worker("w0", nil)
+	r.worker("w1", st)
+	r.worker("w2", nil)
+	var once sync.Once
+	rep, err := r.coord(iterations, 6, 3, func(cfg *CoordConfig) {
+		cfg.OnDispatch = func(epoch int) {
+			if epoch == 1 {
+				once.Do(st.Sever)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDigests(t, rep, want)
+	if rep.WorkersLost != 1 {
+		t.Errorf("WorkersLost = %d, want 1", rep.WorkersLost)
+	}
+	if rep.WorkersSeen != 4 {
+		t.Errorf("WorkersSeen = %d, want 4 (three workers plus the rejoin)", rep.WorkersSeen)
+	}
+	if rep.Iterations != iterations {
+		t.Errorf("committed %d iterations, want %d", rep.Iterations, iterations)
+	}
+	if err := <-r.errs["w1"]; err != nil {
+		t.Errorf("rejoined worker did not shut down cleanly: %v", err)
 	}
 }

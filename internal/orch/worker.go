@@ -123,30 +123,47 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 }
 
 // Run dials the coordinator, registers, and serves dispatched partitions
-// until Shutdown (returns nil), context cancellation (returns the context
-// error), or control-link failure.
+// until Shutdown (returns nil) or context cancellation (returns the context
+// error). A control link that dies while ctx is live — the coordinator
+// reaped this worker as lagging, or the connection broke — does not end
+// the worker: it abandons its in-flight epoch, redials (bounded by Retry),
+// and registers again, so an alive worker rejoins the pool instead of
+// draining it. Run returns an error when that redial or its handshake
+// fails, when the coordinator closes the link gracefully (it is shutting
+// down), or when a control message cannot be decoded.
 func (w *Worker) Run(ctx context.Context) error {
+	for {
+		if rejoin, err := w.serve(ctx); !rejoin {
+			return err
+		}
+	}
+}
+
+// serve runs one control-link session: dial, register, and serve events
+// until the link ends. rejoin reports that the link died with ctx still
+// live and the worker should register again.
+func (w *Worker) serve(ctx context.Context) (rejoin bool, err error) {
 	events := make(chan workerEvent, 64)
 	conn, err := transport.DialRetry(ctx, w.cfg.Transport, w.cfg.Coord, w.cfg.Retry)
 	if err != nil {
-		return fmt.Errorf("orch: worker %s dial coordinator: %w", w.cfg.Name, err)
+		return false, fmt.Errorf("orch: worker %s dial coordinator: %w", w.cfg.Name, err)
 	}
 	link, err := transport.NewLink(conn, transport.LinkConfig{
 		Node: 0, Ctrl: true,
 		Heartbeat: w.cfg.Heartbeat, PeerTimeout: w.cfg.PeerTimeout,
 	}, &workerHandler{events: events})
 	if err != nil {
-		return fmt.Errorf("orch: worker %s handshake: %w", w.cfg.Name, err)
+		return false, fmt.Errorf("orch: worker %s handshake: %w", w.cfg.Name, err)
 	}
 	if !link.CtrlNegotiated() {
 		link.Close()
-		return fmt.Errorf("orch: worker %s: coordinator did not negotiate the control plane", w.cfg.Name)
+		return false, fmt.Errorf("orch: worker %s: coordinator did not negotiate the control plane", w.cfg.Name)
 	}
 	w.link = link
 	defer w.closeListeners()
 	defer link.Close()
 	if err := w.send(Register{Name: w.cfg.Name}); err != nil {
-		return err
+		return false, err
 	}
 
 	var run *epochRun
@@ -154,17 +171,20 @@ func (w *Worker) Run(ctx context.Context) error {
 		select {
 		case <-ctx.Done():
 			w.stopRun(run)
-			return ctx.Err()
+			return false, ctx.Err()
 		case ev := <-events:
 			switch {
 			case ev.closed:
 				w.stopRun(run)
 				if ctx.Err() != nil {
-					return ctx.Err()
+					return false, ctx.Err()
 				}
-				return fmt.Errorf("orch: worker %s lost coordinator: %v", w.cfg.Name, ev.err)
+				if ev.err != nil {
+					return true, nil
+				}
+				return false, fmt.Errorf("orch: worker %s lost coordinator: link closed", w.cfg.Name)
 			case ev.err != nil:
-				return fmt.Errorf("orch: worker %s control decode: %w", w.cfg.Name, ev.err)
+				return false, fmt.Errorf("orch: worker %s control decode: %w", w.cfg.Name, ev.err)
 			}
 			switch m := ev.msg.(type) {
 			case Welcome:
@@ -187,7 +207,7 @@ func (w *Worker) Run(ctx context.Context) error {
 				w.send(AbortOK{Epoch: m.Epoch})
 			case Shutdown:
 				w.stopRun(run)
-				return nil
+				return false, nil
 			}
 		}
 	}

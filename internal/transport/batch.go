@@ -79,39 +79,17 @@ func putWire(p *[]byte) {
 
 // coalescer is one link's write batch. All fields are guarded by the
 // link's writer mutex (wmu): every producer of wire bytes already holds
-// it, so batching adds no new locks to the hot path.
+// it, so batching adds no new locks to the hot path. Its deadline belongs
+// to the link writer, which the first frame into an empty batch wakes.
 type coalescer struct {
 	buf    []byte
 	frames int
 	gen    int // connection generation the buffered bytes target
-	timer  *time.Timer
-	armed  bool
 }
 
 func (b *coalescer) drop() {
 	b.buf = b.buf[:0]
 	b.frames = 0
-}
-
-// armFlushLocked schedules the deadline flush if buffered frames or
-// pending acks are waiting and no timer is already pending. Caller holds
-// wmu.
-func (l *Link) armFlushLocked() {
-	if l.batch.armed || (l.batch.frames == 0 && len(l.pendingOrder) == 0) {
-		return
-	}
-	d := l.cfg.Batch.MaxDelay
-	if d <= 0 {
-		// Piggybacking without batching still needs the deadline so a
-		// queued ack never waits indefinitely for a DATA frame to ride.
-		d = 100 * time.Microsecond
-	}
-	if l.batch.timer == nil {
-		l.batch.timer = time.AfterFunc(d, l.flushDeadline)
-	} else {
-		l.batch.timer.Reset(d)
-	}
-	l.batch.armed = true
 }
 
 // writeWire hands one encoded frame to the connection: appended to the
@@ -142,7 +120,9 @@ func (l *Link) writeWire(conn Conn, gen int, wire []byte) error {
 	if l.batch.frames >= l.cfg.Batch.MaxFrames || len(l.batch.buf) >= l.cfg.Batch.MaxBytes {
 		return l.flushBatchLocked(conn, gen)
 	}
-	l.armFlushLocked()
+	if l.batch.frames == 1 {
+		l.signalWriter() // start the deadline
+	}
 	return nil
 }
 
@@ -170,61 +150,27 @@ func (l *Link) flushBatchLocked(conn Conn, gen int) error {
 	return nil
 }
 
-// flushDeadline is the coalescer's timer callback: materialize any acks
-// still waiting for a DATA frame to ride, then flush the batch. On a
-// down link the batched bytes are dropped — the resend buffer holds the
-// frames and the RESUME replay delivers them — while pending acks stay
-// queued for install() to flush after the replay; they are not yet
-// session frames, so nothing else would deliver them. On a closed or
-// failed link everything is dropped and the timer goes quiet.
-func (l *Link) flushDeadline() {
-	l.wmu.Lock()
-	l.batch.armed = false
-	l.mu.Lock()
-	conn, gen, state, closing := l.conn, l.gen, l.state, l.closing
-	l.mu.Unlock()
-	if closing || state != stateUp {
-		if state != stateDown || (l.batch.frames > 0 && l.batch.gen != gen) {
-			l.batch.drop()
-		}
-		l.wmu.Unlock()
-		return
-	}
-	err := l.flushPendingAcksLocked(conn, gen)
-	if err == nil {
-		err = l.flushBatchLocked(conn, gen)
-	}
-	l.armFlushLocked()
-	l.wmu.Unlock()
-	if err != nil {
-		werr := &Error{Op: "send", Addr: l.raddr, Transient: isTimeout(err), Err: err}
-		if l.cfg.Reconnect.Enabled() {
-			l.connError(gen, werr)
-		} else {
-			l.poisonSend(gen)
-		}
-	}
-	l.recheckCumAck()
-}
-
 // queueAck records an ack to be piggybacked on the next outbound DATA
-// frame (or flushed standalone by the deadline timer). Caller holds wmu.
+// frame (or flushed standalone by the writer's deadline). Caller holds
+// wmu.
 func (l *Link) queueAckLocked(edge uint16, count uint32) {
 	if l.pendingAcks == nil {
 		l.pendingAcks = make(map[uint16]uint32)
 	}
 	if _, ok := l.pendingAcks[edge]; !ok {
 		l.pendingOrder = append(l.pendingOrder, edge)
+		if len(l.pendingOrder) == 1 {
+			l.signalWriter() // start the deadline
+		}
 	}
 	l.pendingAcks[edge] += count
-	l.armFlushLocked()
 }
 
 // takePendingAcksLocked drains up to 255 queued ack entries into the
 // piggyback prefix (u8 n | n * (u16 edge | u32 count)) reusing the
 // link's prefix buffer, and credits the per-edge piggyback counters.
-// Caller holds wmu and must consume the returned slice before releasing
-// it (buildFrame copies it into the frame).
+// Caller holds wmu and mu and must consume the returned slice before
+// releasing wmu (buildFrame copies it into the frame).
 func (l *Link) takePendingAcksLocked() []byte {
 	n := len(l.pendingOrder)
 	if n == 0 {
@@ -254,8 +200,8 @@ func (l *Link) takePendingAcksLocked() []byte {
 // flushPendingAcksLocked materializes queued acks as standalone session
 // ACK frames — the deadline path when no DATA frame came along to carry
 // them. Each needs resend-buffer room; acks that do not fit stay queued
-// and the re-armed timer retries after the peer's cumulative ack frees
-// slots, so ack delivery remains live without ever overrunning the
+// and the writer's next deadline retries after the peer's cumulative ack
+// frees slots, so ack delivery remains live without ever overrunning the
 // resend budget. Caller holds wmu.
 func (l *Link) flushPendingAcksLocked(conn Conn, gen int) error {
 	for len(l.pendingOrder) > 0 {
@@ -307,13 +253,12 @@ func buildFrame(typ byte, seq uint64, head, tail []byte) savedFrame {
 // as standalone ACK frames. The spinode stats table surfaces these next
 // to the edge's standalone ack count.
 func (l *Link) PiggybackedAcks() map[uint16]int64 {
-	l.wmu.Lock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	out := make(map[uint16]int64, len(l.piggySent))
 	for e, n := range l.piggySent {
 		out[e] = n
 	}
-	l.wmu.Unlock()
-	l.recheckCumAck()
 	return out
 }
 
@@ -323,12 +268,11 @@ func (l *Link) PiggybackedAcks() map[uint16]int64 {
 // and the spinode stats table surfaces them next to the acks that did
 // reach the wire.
 func (l *Link) SuppressedAcks() map[uint16]int64 {
-	l.wmu.Lock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	out := make(map[uint16]int64, len(l.suppressedSent))
 	for e, n := range l.suppressedSent {
 		out[e] = n
 	}
-	l.wmu.Unlock()
-	l.recheckCumAck()
 	return out
 }

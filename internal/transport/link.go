@@ -324,11 +324,17 @@ type resumeOffer struct {
 // stay in a bounded resend buffer until the peer's cumulative transport
 // ack covers them; when the connection dies and LinkConfig.Reconnect
 // allows it, a re-dialed connection replays exactly the unacknowledged
-// suffix via the RESUME handshake. One writer mutex serializes outbound
-// frames and one reader goroutine per connection generation dispatches
-// inbound ones.
+// suffix via the RESUME handshake. One reader goroutine per connection
+// generation dispatches inbound frames, and one link writer goroutine per
+// link writes what the read side owes — cumulative acks, PONG replies and
+// the GOODBYE ack — plus PINGs and the coalescer's deadline flush. The
+// reader and the pinger never write: they record what is owed and signal
+// the writer, so no read path can block on a peer that is itself blocked
+// writing. Data frames are written by their callers, serialized with the
+// writer by wmu.
 //
-// Lock order: wmu before mu, never the reverse.
+// Lock order: wmu before mu, never the reverse. Only writers (callers of
+// the Send methods, Close, RESUME replay, the link writer) take wmu.
 type Link struct {
 	cfg    LinkConfig
 	h      Handler
@@ -372,19 +378,27 @@ type Link struct {
 	// Coalescer and piggyback state, guarded by wmu: every producer of
 	// wire bytes already holds the writer mutex, so the batch adds no
 	// locks to the hot path.
-	batch          coalescer
-	pendingAcks    map[uint16]uint32 // acks awaiting a DATA frame to ride
-	pendingOrder   []uint16          // FIFO of edges with pending acks
-	piggyBuf       []byte            // reusable piggyback-prefix scratch
-	piggySent      map[uint16]int64  // per-edge piggybacked-ack totals
-	suppressedSent map[uint16]int64  // per-edge resync-suppressed ack totals
+	batch        coalescer
+	pendingAcks  map[uint16]uint32 // acks awaiting a DATA frame to ride
+	pendingOrder []uint16          // FIFO of edges with pending acks
+	piggyBuf     []byte            // reusable piggyback-prefix scratch
 
-	mu           sync.Mutex
+	// wake signals the link writer (capacity 1, never blocks the sender);
+	// writerDone closes when the writer exits.
+	wake       chan struct{}
+	writerDone chan struct{}
+
+	mu             sync.Mutex
+	piggySent      map[uint16]int64 // per-edge piggybacked-ack totals
+	suppressedSent map[uint16]int64 // per-edge resync-suppressed ack totals
+	owe            int              // oweAck|owePing|owePong|oweGoodbyeAck requests for the writer
+	pongTS         uint64           // PING timestamp the owed PONG echoes
+
 	conn         Conn
 	state        int
 	gen          int // bumped each time the connection goes down
 	closing      bool
-	graceful     bool // local Close has begun; close notifications report nil
+	graceful     bool // local Close/Abort began on a link not yet failed; close notifications report nil
 	peerClosed   bool // peer sent GOODBYE
 	failErr      error
 	sendSeq      uint64 // last sequence number assigned to an outbound frame
@@ -602,6 +616,8 @@ func startLink(conn Conn, cfg LinkConfig, h Handler, peer int, token uint64, dia
 		readerDone: make(chan struct{}),
 		closedCh:   make(chan struct{}),
 		resumeCh:   make(chan resumeOffer, 1),
+		wake:       make(chan struct{}, 1),
+		writerDone: make(chan struct{}),
 		obs:        newLinkObs(cfg.Obs, peer),
 	}
 	l.batchOn = cfg.Batch.Enabled()
@@ -649,6 +665,7 @@ func startLink(conn Conn, cfg LinkConfig, h Handler, peer int, token uint64, dia
 		sort.Slice(l.resyncIDs, func(i, j int) bool { return l.resyncIDs[i] < l.resyncIDs[j] })
 	}
 	go l.readLoop(conn, 0, l.readerDone)
+	go l.writer()
 	if l.resyncOn {
 		// Announce our set before any suppressed silence can be observed.
 		// This must come after the read loop starts: both ends announce
@@ -657,7 +674,7 @@ func startLink(conn Conn, cfg LinkConfig, h Handler, peer int, token uint64, dia
 		// unnumbered (install re-sends it after every RESUME), so a write
 		// failure here just feeds the normal failure path.
 		l.wmu.Lock()
-		err := l.writeResyncLocked(conn, 0)
+		err := l.writeControlLocked(conn, 0, frameResync, encodeResyncSet(l.resyncIDs))
 		l.wmu.Unlock()
 		if err != nil {
 			l.connError(0, &Error{Op: "send", Addr: l.raddr, Transient: isTimeout(err), Err: err})
@@ -809,20 +826,22 @@ func (l *Link) Liveness() LinkLiveness {
 }
 
 // pinger is the per-link failure detector, running for the life of a link
-// that negotiated heartbeats. Each tick it first folds the reader's frame
-// counter into the liveness mark — if any frame arrived since the last
-// tick the peer is alive, stamped at tick granularity so the receive hot
-// path never touches the clock — then checks how long the peer has been
-// silent: past PeerTimeout the connection is declared dead and fed to the
-// normal failure path (recovery or link failure), past one Heartbeat
-// interval a PING probes the peer — so a busy link never sends a probe,
-// and an idle-but-alive one answers with a PONG whose arrival refreshes
-// the mark and samples the RTT. The tick-granular stamp means detection
-// lags true silence by at most one extra interval: with the default
-// timeout of 4 intervals a dead peer is declared within 6 intervals,
-// still inside the 2x-PeerTimeout bound. Outages (stateDown) are the
-// recovery goroutine's problem, bounded by its own reconnect deadline;
-// the pinger just waits them out.
+// that negotiated heartbeats. It never writes, so its PeerTimeout check
+// keeps ticking while a write is stuck on an unresponsive peer. Each tick
+// it first folds the reader's frame counter into the liveness mark — if
+// any frame arrived since the last tick the peer is alive, stamped at
+// tick granularity so the receive hot path never touches the clock — then
+// checks how long the peer has been silent: past PeerTimeout the
+// connection is declared dead and fed to the normal failure path
+// (recovery or link failure), past one Heartbeat interval it asks the
+// link writer for a PING — so a busy link never sends a probe, and an
+// idle-but-alive one answers with a PONG whose arrival refreshes the mark
+// and samples the RTT. The tick-granular stamp means detection lags true
+// silence by at most one extra interval: with the default timeout of 4
+// intervals a dead peer is declared within 6 intervals, still inside the
+// 2x-PeerTimeout bound. Outages (stateDown) are the recovery goroutine's
+// problem, bounded by its own reconnect deadline; the pinger just waits
+// them out.
 func (l *Link) pinger() {
 	interval := l.cfg.Heartbeat
 	timeout := l.cfg.peerTimeout()
@@ -836,7 +855,7 @@ func (l *Link) pinger() {
 			return
 		}
 		l.mu.Lock()
-		state, conn, gen, closing := l.state, l.conn, l.gen, l.closing
+		state, gen, closing := l.state, l.gen, l.closing
 		l.mu.Unlock()
 		if closing || state == stateClosed || state == stateFailed {
 			return
@@ -858,74 +877,162 @@ func (l *Link) pinger() {
 			continue
 		}
 		if silent >= interval {
-			l.sendPing(conn, gen)
+			l.request(owePing, 0)
 		}
 	}
 }
 
-// sendPing writes one liveness probe carrying the current timestamp. It
-// runs on the pinger goroutine, so (unlike the reader's tryCumAck) it may
-// block on the writer mutex; the frame rides the coalescer like any
-// other, though on an idle link — the only kind that gets probed — the
-// batch is empty and the deadline timer flushes it within MaxDelay.
-func (l *Link) sendPing(conn Conn, gen int) {
-	l.wmu.Lock()
+// Requests left for the link writer in Link.owe. An owed cumulative ack
+// at the ack interval needs no bit: recvSeq − cumAcked is the request.
+const (
+	oweAck        = 1 << iota // CUMACK now, even below the ack interval
+	owePing                   // liveness probe
+	owePong                   // echo of pongTS
+	oweGoodbyeAck             // final CUMACK for the peer's GOODBYE
+)
+
+// request records work for the link writer and wakes it. It never
+// blocks, so the reader and the pinger may call it. A PONG request also
+// records the timestamp to echo.
+func (l *Link) request(bits int, pongTS uint64) {
 	l.mu.Lock()
-	if l.gen != gen || l.state != stateUp || l.closing {
-		l.mu.Unlock()
-		l.wmu.Unlock()
-		return
+	l.owe |= bits
+	if bits&owePong != 0 {
+		l.pongTS = pongTS
 	}
 	l.mu.Unlock()
-	var body [pingBodyBytes]byte
-	encodePing(body[:], uint64(time.Now().UnixNano()))
-	f := buildFrame(framePing, 0, nil, body[:])
-	err := l.writeWire(conn, gen, f.wire)
-	putWire(f.buf)
-	l.wmu.Unlock()
-	if err != nil {
-		l.connError(gen, &Error{Op: "send", Addr: l.raddr, Transient: isTimeout(err), Err: err})
-		return
-	}
-	l.obs.pingsSent.Inc()
-	l.recheckCumAck()
+	l.signalWriter()
 }
 
-// sendPong echoes a PING's timestamp back. Spawned on its own goroutine
-// by the reader (like ackGoodbye): answering inline would park the reader
-// on wmu behind writers that may themselves be blocked on the peer.
-func (l *Link) sendPong(conn Conn, gen int, ts uint64) {
+// signalWriter wakes the link writer without blocking: a token already
+// pending covers any new request, because the writer reads the owed state
+// only after it takes the token.
+func (l *Link) signalWriter() {
+	select {
+	case l.wake <- struct{}{}:
+	default:
+	}
+}
+
+// writer is the link writer, which writes every frame the reader and the
+// pinger ask for. It takes wmu like any writer and may block in Write,
+// because no read path waits on it. Besides the requests in owe it owns the
+// coalescer's deadline: the first frame into an empty batch (or the first
+// queued piggyback ack) wakes it, and it flushes MaxDelay later. It runs
+// until Close or Abort, or until the link fails.
+func (l *Link) writer() {
+	defer close(l.writerDone)
+	delay := l.cfg.Batch.MaxDelay
+	if delay <= 0 {
+		// Piggybacking without batching still needs the deadline so a
+		// queued ack never waits indefinitely for a DATA frame to ride.
+		delay = 100 * time.Microsecond
+	}
+	var timer *time.Timer
+	var due <-chan time.Time
+	for {
+		flush := false
+		select {
+		case <-l.wake:
+		case <-due:
+			due, flush = nil, true
+		case <-l.closedCh:
+		}
+		pending, live := l.writeOwed(flush)
+		if !live {
+			if timer != nil {
+				timer.Stop()
+			}
+			return
+		}
+		if pending && due == nil {
+			if timer == nil {
+				timer = time.NewTimer(delay)
+			} else {
+				timer.Reset(delay)
+			}
+			due = timer.C
+		}
+	}
+}
+
+// writeOwed writes whatever the reader and the pinger have asked for and,
+// when flush is set, the coalescer's deadline flush: queued acks go out
+// standalone and the batch is written. It reports whether frames or acks
+// are still waiting for a deadline, and whether the link is still live.
+// On a down link the requests are dropped — the RESUME handshake carries
+// the receive high-water mark, and probes are moot — while queued acks
+// stay for install() to flush after the replay.
+func (l *Link) writeOwed(flush bool) (pending, live bool) {
 	l.wmu.Lock()
 	l.mu.Lock()
-	if l.gen != gen || l.state != stateUp || l.closing {
-		l.mu.Unlock()
-		l.wmu.Unlock()
-		return
+	conn, gen, state := l.conn, l.gen, l.state
+	owe, ts := l.owe, l.pongTS
+	l.owe = 0
+	cum := l.recvSeq
+	ack := state == stateUp && (cum-l.cumAcked >= uint64(l.ackInterval()) || owe&oweAck != 0 && cum > l.cumAcked)
+	if ack {
+		l.cumAcked = cum
 	}
 	l.mu.Unlock()
-	var body [pingBodyBytes]byte
-	encodePing(body[:], ts)
-	f := buildFrame(framePong, 0, nil, body[:])
-	err := l.writeWire(conn, gen, f.wire)
-	putWire(f.buf)
+	if state != stateUp {
+		// Close and Abort set stateClosed as they begin closing.
+		l.wmu.Unlock()
+		return false, state == stateDown
+	}
+	var err error
+	if ack {
+		var body [cumAckBodyBytes]byte
+		binary.LittleEndian.PutUint64(body[:], cum)
+		err = l.writeControlLocked(conn, gen, frameCumAck, body[:])
+	}
+	if err == nil && owe&owePong != 0 {
+		var body [pingBodyBytes]byte
+		encodePing(body[:], ts)
+		err = l.writeControlLocked(conn, gen, framePong, body[:])
+	}
+	if err == nil && owe&owePing != 0 {
+		var body [pingBodyBytes]byte
+		encodePing(body[:], uint64(time.Now().UnixNano()))
+		if err = l.writeControlLocked(conn, gen, framePing, body[:]); err == nil {
+			l.obs.pingsSent.Inc()
+		}
+	}
+	if err == nil && flush {
+		if err = l.flushPendingAcksLocked(conn, gen); err == nil {
+			err = l.flushBatchLocked(conn, gen)
+		}
+	}
+	if err == nil && owe&oweGoodbyeAck != 0 {
+		l.ackGoodbyeLocked(conn, gen)
+	}
+	pending = l.batch.frames > 0 || len(l.pendingOrder) > 0
 	l.wmu.Unlock()
 	if err != nil {
-		l.connError(gen, &Error{Op: "send", Addr: l.raddr, Transient: isTimeout(err), Err: err})
-		return
+		l.sendFailed(gen, err)
 	}
-	l.recheckCumAck()
+	return pending, true
 }
 
-// writeResyncLocked writes this side's filtered suppression set as an
-// unnumbered RESYNC frame. Caller holds wmu. Called once at link start
-// and again by install after every RESUME: unnumbered frames are never
-// replayed, so re-sending is what guarantees the peer re-verifies the
-// set on the fresh connection (the check is idempotent).
-func (l *Link) writeResyncLocked(conn Conn, gen int) error {
-	f := buildFrame(frameResync, 0, nil, encodeResyncSet(l.resyncIDs))
+// writeControlLocked writes one unnumbered frame (CUMACK, PING, PONG,
+// RESYNC) through the coalescer. Caller holds wmu.
+func (l *Link) writeControlLocked(conn Conn, gen int, typ byte, body []byte) error {
+	f := buildFrame(typ, 0, nil, body)
 	err := l.writeWire(conn, gen, f.wire)
 	putWire(f.buf)
 	return err
+}
+
+// sendFailed routes a write error of generation gen: with reconnection
+// the connection is dead and recovery replays the resend buffer; without
+// it the send half is poisoned.
+func (l *Link) sendFailed(gen int, err error) {
+	werr := &Error{Op: "send", Addr: l.raddr, Transient: isTimeout(err), Err: err}
+	if l.cfg.Reconnect.Enabled() {
+		l.connError(gen, werr)
+	} else {
+		l.poisonSend(gen)
+	}
 }
 
 // SendData transmits one SPI-encoded message on an outbound edge. When
@@ -965,15 +1072,13 @@ func (l *Link) SendAck(edge uint16, count uint32) error {
 		// still trim the peer's resend buffer (they ride every frame
 		// direction independently of SPI acks), so suppression never
 		// wedges the peer's sender.
-		l.wmu.Lock()
+		l.mu.Lock()
 		if l.suppressedSent == nil {
 			l.suppressedSent = make(map[uint16]int64)
 		}
 		l.suppressedSent[edge]++
-		l.wmu.Unlock()
+		l.mu.Unlock()
 		l.obs.acksSuppressed.Inc()
-		// Holding wmu may have suppressed the reader's cumulative ack.
-		l.recheckCumAck()
 		return nil
 	}
 	if l.piggyOn {
@@ -996,10 +1101,6 @@ func (l *Link) SendAck(edge uint16, count uint32) error {
 		l.mu.Unlock()
 		l.queueAckLocked(edge, count)
 		l.wmu.Unlock()
-		// Holding wmu may have suppressed the reader's cumulative ack;
-		// in a one-way stream this queue write is the only wire activity
-		// on the ack side, so nothing else would retry it.
-		l.recheckCumAck()
 		return nil
 	}
 	if err := l.sendSession(frameAck, encodeAck(edge, count)); err != nil {
@@ -1050,14 +1151,8 @@ func (l *Link) flushNow() {
 	}
 	l.wmu.Unlock()
 	if err != nil {
-		werr := &Error{Op: "send", Addr: l.raddr, Transient: isTimeout(err), Err: err}
-		if l.cfg.Reconnect.Enabled() {
-			l.connError(gen, werr)
-		} else {
-			l.poisonSend(gen)
-		}
+		l.sendFailed(gen, err)
 	}
-	l.recheckCumAck()
 }
 
 // sendSession assigns the next sequence number to one session frame,
@@ -1100,6 +1195,13 @@ func (l *Link) sendSessionFrame(typ byte, head, body []byte, piggy bool) error {
 			ch := l.changed
 			conn, gen := l.conn, l.gen
 			up := l.state == stateUp
+			// Our own owed cumulative ack must go out too, or a
+			// symmetrically stalled peer would wait on us exactly as we
+			// wait on it.
+			ackOwed := up && l.recvSeq > l.cumAcked
+			if ackOwed {
+				l.owe |= oweAck
+			}
 			l.mu.Unlock()
 			// About to sleep until the peer acks: flush the write batch
 			// first — the peer can only ack frames it has seen, and the
@@ -1120,10 +1222,8 @@ func (l *Link) sendSessionFrame(typ byte, head, body []byte, piggy bool) error {
 				continue
 			}
 			l.obs.sendStalls.Inc()
-			// And flush our own owed cumulative ack, or a symmetrically
-			// stalled peer would wait on us exactly as we wait on it.
-			if l.owedAcks() > 0 {
-				l.tryCumAck(conn, gen)
+			if ackOwed {
+				l.signalWriter()
 			}
 			<-ch
 			continue
@@ -1151,12 +1251,6 @@ func (l *Link) sendSessionFrame(typ byte, head, body []byte, piggy bool) error {
 			l.poisonSend(gen)
 			return werr
 		}
-		// The reader's tryCumAck yields rather than wait on wmu, so a
-		// writer that held it off must flush the owed ack itself: if
-		// every session write left the reader's ack suppressed, the
-		// peer's resend buffer would fill and its senders stall with
-		// nothing left in flight to retrigger the ack.
-		l.recheckCumAck()
 		return nil
 	}
 }
@@ -1170,14 +1264,6 @@ func (l *Link) ackInterval() int {
 		interval = 1
 	}
 	return interval
-}
-
-// owedAcks reports how many in-order frames we have received but not yet
-// covered with a cumulative ack.
-func (l *Link) owedAcks() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.recvSeq - l.cumAcked
 }
 
 // encodeFrame builds the complete wire bytes for one frame, so the resend
@@ -1249,6 +1335,9 @@ func (l *Link) goDownLocked(cause error) error {
 func (l *Link) broadcastLocked() {
 	close(l.changed)
 	l.changed = make(chan struct{})
+	if l.state == stateFailed {
+		l.signalWriter() // let the writer see the link is dead and exit
+	}
 }
 
 func (l *Link) notifyClose(err error) {

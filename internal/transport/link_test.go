@@ -291,33 +291,9 @@ func TestHandshakeManifestMismatch(t *testing.T) {
 
 func TestSendTimeoutPoisonsLink(t *testing.T) {
 	tr := NewLoopback()
-	ln, err := tr.Listen("n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	peerReady := make(chan Conn, 1)
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		// Handshake manually (echoing the dialer's session token), then
-		// stop reading: the link's writes must hit their deadline instead
-		// of blocking forever.
-		_, _, body, err := readFrame(c, DefaultMaxFrame)
-		if err != nil {
-			return
-		}
-		_, token, _, _, err := decodeHello(body)
-		if err != nil {
-			return
-		}
-		if err := writeFrame(c, frameHello, 0, encodeHello(1, token, testManifest(false), 0)); err != nil {
-			return
-		}
-		peerReady <- c
-	}()
+	// The peer handshakes, then stops reading: the link's writes must hit
+	// their deadline instead of blocking forever.
+	peerReady := silentPeer(t, tr, "n", 0)
 	c, err := tr.Dial("n")
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,8 @@ import (
 // live one reports through readError) or when the link is torn down. The
 // peer's GOODBYE does not stop it: the connection stays readable so the
 // final ack exchange of a graceful close can complete in both directions.
+// It never writes: every reply it owes (cumulative ack, PONG, GOODBYE ack)
+// is recorded for the link writer, so reading always drains the peer.
 func (l *Link) readLoop(conn Conn, gen int, done chan struct{}) {
 	defer close(done)
 	interval := uint64(l.ackInterval())
@@ -51,7 +53,13 @@ func (l *Link) readLoop(conn Conn, gen int, done chan struct{}) {
 				return
 			}
 			l.recvSeq = seq
+			// One wake per ack interval: the writer acks everything
+			// received up to the moment it runs, which restarts the count.
+			owed := seq-l.cumAcked == interval
 			l.mu.Unlock()
+			if owed {
+				l.signalWriter()
+			}
 		}
 		switch typ {
 		case frameData:
@@ -155,10 +163,7 @@ func (l *Link) readLoop(conn Conn, gen int, done chan struct{}) {
 				l.readError(gen, &Error{Op: "recv", Addr: l.raddr, Err: derr})
 				return
 			}
-			// Echo from a separate goroutine, like the GOODBYE ack: the
-			// reader must never park on wmu behind a writer that may itself
-			// be blocked on the peer.
-			go l.sendPong(conn, gen, ts)
+			l.request(owePong, ts)
 		case framePong:
 			ts, derr := decodePing(body)
 			if derr != nil {
@@ -191,21 +196,15 @@ func (l *Link) readLoop(conn Conn, gen int, done chan struct{}) {
 			l.obs.tr.Instant("session", "resync-verified", l.obs.pid, l.obs.sessTid,
 				obs.A("edges", int64(len(ids))))
 		case frameGoodbye:
-			// Ack from a separate goroutine — two symmetric closes on
-			// loopback would deadlock if both readers stopped to write —
-			// and keep reading: the final CUMACK for our own GOODBYE may
+			// Keep reading: the final CUMACK for our own GOODBYE may
 			// still be inbound. The reader exits when the peer, done
 			// draining, closes the connection.
-			go l.ackGoodbye(conn, gen)
+			l.request(oweGoodbyeAck, 0)
 			l.peerGoodbye()
-			continue
 		default:
 			l.readError(gen, &Error{Op: "recv", Addr: l.raddr,
 				Err: fmt.Errorf("unexpected frame type %d", typ)})
 			return
-		}
-		if l.owedAcks() >= interval {
-			l.tryCumAck(conn, gen)
 		}
 	}
 }
@@ -249,70 +248,15 @@ func (l *Link) trimUnacked(n uint64) {
 	l.mu.Unlock()
 }
 
-// tryCumAck sends a cumulative transport ack covering every in-order
-// frame received so far. It must never block on the writer mutex: on
-// loopback (net.Pipe) a reader waiting behind a writer whose peer is
-// symmetrically stuck would deadlock. A contended lock skips the ack and
-// returns false; liveness then rests on the writer that held the lock,
-// which must call recheckCumAck after releasing it.
-func (l *Link) tryCumAck(conn Conn, gen int) bool {
-	if !l.wmu.TryLock() {
-		return false
-	}
-	l.mu.Lock()
-	if l.gen != gen || l.state != stateUp {
-		l.mu.Unlock()
-		l.wmu.Unlock()
-		return true
-	}
-	n := l.recvSeq
-	l.cumAcked = n
-	l.mu.Unlock()
-	var body [cumAckBodyBytes]byte
-	binary.LittleEndian.PutUint64(body[:], n)
-	f := buildFrame(frameCumAck, 0, nil, body[:])
-	// Through the coalescer like any frame: a batched CUMACK is flushed
-	// by the next threshold or the deadline timer, which bounds how long
-	// the peer's resend buffer stays un-trimmed.
-	err := l.writeWire(conn, gen, f.wire)
-	putWire(f.buf)
-	l.wmu.Unlock()
-	if err != nil {
-		l.connError(gen, &Error{Op: "send", Addr: l.raddr, Transient: isTimeout(err), Err: err})
-	}
-	return true
-}
-
-// recheckCumAck is the other half of tryCumAck's liveness contract:
-// every path that takes wmu may have suppressed the reader's cumulative
-// ack exactly once, at the moment the reader went idle — after which no
-// inbound frame will retry it. So each such path calls this after
-// releasing the lock. The loop covers a recvSeq that advanced while our
-// own ack write held wmu; it terminates because a successful tryCumAck
-// zeroes the owed count and a contended one hands the obligation to the
-// current lock holder.
-func (l *Link) recheckCumAck() {
-	for l.owedAcks() >= uint64(l.ackInterval()) {
-		l.mu.Lock()
-		conn, gen := l.conn, l.gen
-		ok := l.state == stateUp && !l.closing
-		l.mu.Unlock()
-		if !ok || !l.tryCumAck(conn, gen) {
-			return
-		}
-	}
-}
-
-// ackGoodbye sends the final cumulative ack telling the peer its GOODBYE
-// (and, by the sequence filter, everything before it) arrived, so the
-// peer's Close can stop draining. Errors are ignored: the RESUME
+// ackGoodbyeLocked sends the final cumulative ack telling the peer its
+// GOODBYE (and, by the sequence filter, everything before it) arrived, so
+// the peer's Close can stop draining. Errors are ignored: the RESUME
 // handshake carries the same high-water mark if this write is lost.
-func (l *Link) ackGoodbye(conn Conn, gen int) {
-	l.wmu.Lock()
+// Caller holds wmu.
+func (l *Link) ackGoodbyeLocked(conn Conn, gen int) {
 	l.mu.Lock()
 	if l.gen != gen || l.state != stateUp {
 		l.mu.Unlock()
-		l.wmu.Unlock()
 		return
 	}
 	n := l.recvSeq
@@ -325,7 +269,6 @@ func (l *Link) ackGoodbye(conn Conn, gen int) {
 	wire := encodeFrame(frameCumAck, 0, encodeCumAck(n))
 	_, err := conn.Write(wire)
 	conn.SetWriteDeadline(time.Time{})
-	l.wmu.Unlock()
 	if err == nil && flushErr == nil {
 		l.obs.framesSent.Inc()
 		l.obs.bytesSent.Add(int64(len(wire)))
@@ -615,7 +558,7 @@ func (l *Link) install(conn Conn, peerRecv uint64, gen int) {
 	if werr == nil {
 		werr = l.flushPendingAcksLocked(conn, gen)
 		if werr == nil && l.resyncOn {
-			werr = l.writeResyncLocked(conn, gen)
+			werr = l.writeControlLocked(conn, gen, frameResync, encodeResyncSet(l.resyncIDs))
 		}
 		if werr == nil {
 			werr = l.flushBatchLocked(conn, gen)
@@ -721,7 +664,9 @@ func (l *Link) Close() error {
 	l.closeOnce.Do(func() {
 		deadline := time.Now().Add(l.cfg.closeTimeout())
 		l.mu.Lock()
-		l.graceful = true
+		// A failure decided before the shutdown began keeps its error,
+		// even when its notification races this call.
+		l.graceful = l.state != stateFailed
 		l.mu.Unlock()
 		l.awaitSettled(deadline)
 		if seq, sent := l.sendGoodbye(); sent {
@@ -739,6 +684,7 @@ func (l *Link) Close() error {
 		l.mu.Unlock()
 		conn.Close()
 		<-rd
+		<-l.writerDone
 		l.drainOffers()
 		l.notifyClose(nil)
 	})
@@ -859,18 +805,19 @@ func (l *Link) awaitAck(seq uint64, deadline time.Time) bool {
 }
 
 // finalAck makes sure the peer's GOODBYE got its closing CUMACK before we
-// tear the connection down: the reader spawns one asynchronously, but a
-// fast Close could otherwise win that race and strand the peer's drain.
-// Duplicate cumulative acks are harmless.
+// tear the connection down: the link writer sends one when the reader
+// asks, but a fast Close could otherwise win that race and strand the
+// peer's drain. Duplicate cumulative acks are harmless.
 func (l *Link) finalAck() {
+	l.wmu.Lock()
 	l.mu.Lock()
-	if !l.peerClosed || l.state != stateUp {
-		l.mu.Unlock()
-		return
-	}
+	ok := l.peerClosed && l.state == stateUp
 	conn, gen := l.conn, l.gen
 	l.mu.Unlock()
-	l.ackGoodbye(conn, gen)
+	if ok {
+		l.ackGoodbyeLocked(conn, gen)
+	}
+	l.wmu.Unlock()
 }
 
 // awaitPeerGoodbye waits (bounded) for the peer's own GOODBYE so frames
@@ -900,7 +847,9 @@ func (l *Link) awaitPeerGoodbye(deadline time.Time) {
 func (l *Link) Abort() {
 	l.closeOnce.Do(func() {
 		l.mu.Lock()
-		l.graceful = true
+		// A failure decided before the shutdown began keeps its error,
+		// even when its notification races this call.
+		l.graceful = l.state != stateFailed
 		l.closing = true
 		close(l.closedCh)
 		l.state = stateClosed
@@ -910,6 +859,7 @@ func (l *Link) Abort() {
 		l.mu.Unlock()
 		conn.Close()
 		<-rd
+		<-l.writerDone
 		l.drainOffers()
 		l.notifyClose(nil)
 	})
