@@ -116,21 +116,24 @@ orch:
 # Fission smoke: pipeline.sdf digests must be bit-identical whether the
 # heaviest actor runs whole or fissioned into 3 replicas behind
 # scatter/gather — over the in-process loopback and over the
-# shared-memory ring transport. A digest drift here means the rewrite
-# reordered or resplit tokens, so this gate fails CI before any perf run
-# trusts the pass.
+# shared-memory ring transport, scalar and blocked (-block 4, the same
+# executor's firing loop with B = 4 and slab-carried edges). A digest
+# drift here means the rewrite or the blocking reordered or resplit
+# tokens, so this gate fails CI before any perf run trusts the pass.
 fission:
 	@base=$$($(GO) run ./cmd/spinode -inproc -graph examples/graphs/pipeline.sdf -assign 0,1,1 -iters 20 -seed 1 | grep '^digest'); \
 	[ -n "$$base" ] || { echo "fission smoke: no baseline digests"; exit 1; }; \
 	for t in loopback shm; do \
-		d=$$(mktemp -d); \
-		fiss=$$($(GO) run ./cmd/spinode -inproc -graph examples/graphs/pipeline.sdf -assign 0,1,1 -iters 20 -seed 1 -fission 3 -transport $$t -shm-dir $$d | grep '^digest'); \
-		rm -rf $$d; \
-		if [ "$$base" != "$$fiss" ]; then \
-			echo "fission digest mismatch over $$t:"; \
-			echo "base: $$base"; echo "fiss: $$fiss"; exit 1; \
-		fi; \
-		echo "fission/$$t digests match: $$fiss"; \
+		for b in 0 4; do \
+			d=$$(mktemp -d); \
+			fiss=$$($(GO) run ./cmd/spinode -inproc -graph examples/graphs/pipeline.sdf -assign 0,1,1 -iters 20 -seed 1 -fission 3 -block $$b -transport $$t -shm-dir $$d | grep '^digest'); \
+			rm -rf $$d; \
+			if [ "$$base" != "$$fiss" ]; then \
+				echo "fission digest mismatch over $$t with -block $$b:"; \
+				echo "base: $$base"; echo "fiss: $$fiss"; exit 1; \
+			fi; \
+			echo "fission/$$t/block=$$b digests match: $$fiss"; \
+		done; \
 	done
 
 # Observability suite: the obs package under the race detector, the

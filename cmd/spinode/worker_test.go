@@ -65,6 +65,10 @@ func TestWorkerModeTCP(t *testing.T) {
 		}()
 	}
 
+	// Epoch 1 rotates epoch 0's placement, not its own balanced proposal:
+	// the load-balanced proposal can itself be a rotation of epoch 0's,
+	// and rotating it back would move nothing.
+	var first []int
 	coord, err := orch.NewCoordinator(orch.CoordConfig{
 		Transport: tcp, Addr: coordAddr, Listener: ln,
 		Graph: g, Mapping: m,
@@ -72,14 +76,17 @@ func TestWorkerModeTCP(t *testing.T) {
 		Heartbeat: 50 * time.Millisecond, PeerTimeout: 2 * time.Second,
 		EpochTimeout: 20 * time.Second,
 		OnPlace: func(epoch int, placement []int, ids []uint32) []int {
-			if epoch != 1 {
-				return placement
+			switch epoch {
+			case 0:
+				first = placement
+			case 1:
+				rotated := make([]int, len(first))
+				for p, slot := range first {
+					rotated[p] = (slot + 1) % len(ids)
+				}
+				return rotated
 			}
-			rotated := make([]int, len(placement))
-			for p, slot := range placement {
-				rotated[p] = (slot + 1) % len(ids)
-			}
-			return rotated
+			return placement
 		},
 	})
 	if err != nil {

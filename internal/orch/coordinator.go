@@ -439,11 +439,14 @@ func (c *Coordinator) Run(ctx context.Context) (*Report, error) {
 	go c.accept(ln)
 	defer c.closeAll()
 
-	g, m := c.cfg.Graph, c.cfg.Mapping
-	tails, err := spi.InitialPreloads(g, m)
+	// The lowering's placement-independent half runs once per run; each
+	// epoch only splits it by that epoch's placement.
+	m := c.cfg.Mapping
+	plan, err := spi.PlanPartitions(c.cfg.Graph, m, 1, c.cfg.Resync)
 	if err != nil {
 		return nil, err
 	}
+	tails := plan.InitialPreloads()
 	state := map[string][]byte{}
 	load := make([]float64, m.NumProcs)
 	for p := range load {
@@ -487,7 +490,7 @@ func (c *Coordinator) Run(ctx context.Context) (*Report, error) {
 		if c.cfg.OnPlace != nil {
 			placement = c.cfg.OnPlace(int(epoch), placement, ids)
 		}
-		specs, err := spi.BuildPartitions(g, m, placement, workers)
+		specs, err := plan.Split(placement, workers)
 		if err != nil {
 			return rep, err
 		}
@@ -532,7 +535,6 @@ func (c *Coordinator) Run(ctx context.Context) (*Report, error) {
 		for slot, wc := range parts {
 			spec := specs[slot]
 			spec.BaseIter, spec.Iterations, spec.Addrs = base, n, es.addrs
-			spec.Resync = c.cfg.Resync
 			for i := range spec.Edges {
 				e := &spec.Edges[i]
 				if (e.Out || e.SameProc) && e.Delay > 0 {

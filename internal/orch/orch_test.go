@@ -148,12 +148,17 @@ func fastRetry() transport.RetryConfig {
 
 // worker launches one worker over tr (the rig's loopback unless a choke
 // wrapper is supplied) and records its exit error.
-func (r *orchRig) worker(name string, tr transport.Transport) {
+func (r *orchRig) worker(name string, tr transport.Transport) *Worker {
+	return r.workerWith(name, tr, demoProvider)
+}
+
+// workerWith is worker with a custom kernel provider.
+func (r *orchRig) workerWith(name string, tr transport.Transport, kernels func(*spi.PartitionSpec) (*KernelSet, error)) *Worker {
 	if tr == nil {
 		tr = r.tr
 	}
 	w, err := NewWorker(WorkerConfig{
-		Transport: tr, Coord: "coord", Name: name, Kernels: demoProvider,
+		Transport: tr, Coord: "coord", Name: name, Kernels: kernels,
 		Retry:     fastRetry(),
 		Heartbeat: 20 * time.Millisecond, PeerTimeout: 150 * time.Millisecond,
 	})
@@ -165,6 +170,7 @@ func (r *orchRig) worker(name string, tr transport.Transport) {
 	ch := make(chan error, 1)
 	r.errs[name] = ch
 	go func() { ch <- w.Run(ctx) }()
+	return w
 }
 
 // coord runs the coordinator to completion.
@@ -411,12 +417,30 @@ func TestOrchestratedLateJoiner(t *testing.T) {
 	want := staticDigests(t, iterations)
 	r := newRig(t)
 	defer r.stopAll()
-	r.worker("w0", nil)
+	// w0 holds its second epoch (iterations 6..11) until the late joiner
+	// is registered. The coordinator handles registrations while it waits
+	// on that epoch, so the joiner is deterministically in the pool
+	// before epoch 2 is placed.
+	registered := make(chan struct{})
+	r.workerWith("w0", nil, func(spec *spi.PartitionSpec) (*KernelSet, error) {
+		if spec.BaseIter == 6 {
+			<-registered
+		}
+		return demoProvider(spec)
+	})
 	var once sync.Once
 	rep, err := r.coord(iterations, 6, 1, func(cfg *CoordConfig) {
 		cfg.OnDispatch = func(epoch int) {
 			if epoch == 0 {
-				once.Do(func() { r.worker("late", nil) })
+				once.Do(func() {
+					late := r.worker("late", nil)
+					go func() {
+						defer close(registered)
+						for deadline := time.Now().Add(10 * time.Second); late.id.Load() == 0 && time.Now().Before(deadline); {
+							time.Sleep(time.Millisecond)
+						}
+					}()
+				})
 			}
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -100,6 +101,7 @@ type epochRun struct {
 type Worker struct {
 	cfg  WorkerConfig
 	link *transport.Link
+	id   atomic.Uint32 // assigned by the coordinator's Welcome; 0 before
 
 	mu  sync.Mutex
 	lns map[uint32]transport.Listener // per-epoch pending data listeners
@@ -188,7 +190,8 @@ func (w *Worker) serve(ctx context.Context) (rejoin bool, err error) {
 			}
 			switch m := ev.msg.(type) {
 			case Welcome:
-				// Identity is informational for now; specs carry slots.
+				// Identity is informational; specs carry slots.
+				w.id.Store(m.ID)
 			case Prepare:
 				if err := w.prepare(m.Epoch); err != nil {
 					w.send(Fail{Epoch: m.Epoch, Msg: err.Error()})
@@ -272,7 +275,7 @@ func (w *Worker) start(ctx context.Context, t Task) *epochRun {
 			w.send(Fail{Epoch: t.Epoch, Msg: err.Error()})
 			return
 		}
-		res, err := spi.ExecutePartition(t.Spec, ks.Kernels, spi.PartOptions{
+		res, err := spi.ExecutePartition(t.Spec, ks.Kernels, spi.DistOptions{
 			Transport: w.cfg.Transport, Listener: ln,
 			Retry: w.cfg.Retry, Context: rctx,
 			Reconnect: w.cfg.Reconnect,

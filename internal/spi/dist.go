@@ -17,11 +17,16 @@ import (
 
 // Distributed execution: run one node's share of a mapped dataflow graph,
 // with edges that cross nodes carried over a transport.Link instead of the
-// in-process queue. Every node executes the same plan (same VTS bounds,
-// same mode/protocol selection, same preloaded delays), so an N-node run
-// is bit-identical to the single-process Execute of the same graph.
+// in-process queue. ExecuteDistributed lowers the graph through
+// PlanPartitions and runs its own node's spec on ExecutePartition; every
+// node computes the same plan (same VTS bounds, same mode/protocol
+// selection, same preloaded delays), so an N-node run is bit-identical to
+// the single-process Execute of the same graph.
 
-// DistOptions configures one node of a distributed execution.
+// DistOptions configures one execution of the executor, through
+// ExecuteDistributed or ExecutePartition. A PartitionSpec supersedes
+// Node, Addrs, NodeOf, Block and Resync: ExecutePartition reads those
+// from its spec.
 type DistOptions struct {
 	// Transport carries the inter-node links (e.g. transport.TCP).
 	Transport transport.Transport
@@ -96,9 +101,6 @@ type DistOptions struct {
 	// computed set disagrees is refused at the handshake. Suppressed
 	// counts appear in the per-edge statistics (EdgeStats.AcksSuppressed).
 	Resync bool
-	// resyncEdges is the computed suppression set handed to connectPeers;
-	// ExecuteDistributed fills it when Resync is set.
-	resyncEdges []uint16
 	// Block is the vectorization blocking factor B: every node fires B
 	// consecutive iterations per super-iteration and block-aligned
 	// cross-node edges carry one packed B-token DATA frame per block.
@@ -106,17 +108,21 @@ type DistOptions struct {
 	// the edge manifest reject mismatched peers. 0 or 1 is scalar
 	// execution, bit-identical to today's wire format.
 	Block int
-	// VectorKernels optionally maps locally-hosted actors to native
-	// block-firing kernels (see VectorKernel); others are lifted from
-	// their scalar Kernel. Ignored when Block <= 1.
-	VectorKernels map[dataflow.ActorID]VectorKernel
+	// VectorKernels optionally maps locally-hosted actors, by name, to
+	// native block-firing kernels (see VectorKernel); others are lifted
+	// from their scalar Kernel. Ignored when Block <= 1.
+	VectorKernels map[string]VectorKernel
+	// State supplies checkpoint/restore hooks per stateful actor name: the
+	// executor restores each from the spec's State before the first
+	// firing and checkpoints it into the result after the last.
+	State map[string]StateHooks
 	// Obs, when non-nil, instruments the run: per-edge SPI counters,
 	// per-link transport counters, kernel firing latencies, and trace
 	// events all land in the observer's registry and tracer. Nil (the
 	// default) leaves the run uninstrumented.
 	Obs *obs.Observer
 	// Links, when non-nil, supplies pre-established message links instead
-	// of having ExecuteDistributed dial/accept transport connections
+	// of having the executor dial/accept transport connections
 	// itself: Transport, Listener, Retry, and Reconnect are ignored, and
 	// the run neither closes nor aborts any transport connection — it
 	// calls Links.Finish and leaves the lifecycle to the provider. The
@@ -295,157 +301,32 @@ type peerPlan struct {
 	ids   []EdgeID // same edges, for CloseEdges on link death
 }
 
-// declFor renders one edge's planned configuration as its handshake
-// manifest entry.
-func declFor(cfg EdgeConfig, out bool) transport.EdgeDecl {
-	bytes := cfg.PayloadBytes
-	if cfg.Mode == Dynamic {
-		bytes = cfg.MaxBytes
-	}
-	return transport.EdgeDecl{
-		ID:       uint16(cfg.ID),
-		Mode:     uint8(cfg.Mode),
-		Out:      out,
-		Bytes:    uint32(bytes),
-		Protocol: uint8(cfg.Protocol),
-		Capacity: uint32(cfg.Capacity),
-	}
-}
-
 // ExecuteDistributed runs this node's processors of the mapped graph for
 // the given iteration count, connecting to the peer nodes named in opts.
 // Kernels are required only for actors mapped to this node. All nodes must
 // run the same graph, mapping, iteration count, and node assignment; the
-// handshake rejects peers whose edge manifests disagree.
+// handshake rejects peers whose edge manifests disagree. It lowers to
+// PlanPartitions(g, m, opts.Block, opts.Resync), split by NodeOf over
+// len(Addrs) nodes, and runs spec[Node] on ExecutePartition.
 func ExecuteDistributed(g *dataflow.Graph, m *sched.Mapping, kernels map[dataflow.ActorID]Kernel, iterations int, opts DistOptions) (*ExecStats, error) {
-	if err := m.Validate(g); err != nil {
+	p, err := PlanPartitions(g, m, opts.Block, opts.Resync)
+	if err != nil {
 		return nil, err
-	}
-	if iterations <= 0 {
-		return nil, fmt.Errorf("spi: iterations = %d", iterations)
-	}
-	if opts.Transport == nil && opts.Links == nil && len(opts.Addrs) > 1 {
-		return nil, errors.New("spi: distributed run needs a transport or a link provider")
 	}
 	nodeOf, err := opts.nodeOf(m)
 	if err != nil {
 		return nil, err
 	}
-	me := opts.Node
+	return p.run(nodeOf, len(opts.Addrs), kernels, iterations, opts)
+}
 
-	var myProcs []int
-	for p := 0; p < m.NumProcs; p++ {
-		if nodeOf[p] == me {
-			myProcs = append(myProcs, p)
-		}
-	}
-	if len(myProcs) == 0 {
-		return nil, fmt.Errorf("spi: node %d hosts no processors", me)
-	}
-	for _, p := range myProcs {
-		for _, a := range m.Order[p] {
-			if kernels[a] == nil && (opts.Block <= 1 || opts.VectorKernels[a] == nil) {
-				return nil, fmt.Errorf("spi: actor %s (node %d) has no kernel", g.Actor(a).Name, me)
-			}
-		}
-	}
-
-	plan, err := newGraphPlan(g, opts.Block)
-	if err != nil {
-		return nil, err
-	}
-	if plan.block > 1 {
-		if err := checkBlockedMapping(g, m, plan.q, plan.block); err != nil {
-			return nil, err
-		}
-	}
-	if opts.Resync {
-		// The suppression set is a pure function of graph and mapping, so
-		// every node computes the same one; each link then filters it to
-		// its own edges and verifies the peer agrees before going silent.
-		rp, err := ResyncSuppression(g, m)
-		if err != nil {
-			return nil, err
-		}
-		opts.resyncEdges = rp.SuppressedIDs()
-	}
-	env := &execEnv{
-		g: g, m: m, kernels: kernels, vkernels: opts.VectorKernels, plan: plan,
-		rt:       NewRuntime(),
-		remotes:  map[dataflow.EdgeID]remotePair{},
-		locals:   map[dataflow.EdgeID][][]byte{},
-		degrade:  opts.Degrade,
-		edgeID:   map[dataflow.EdgeID]EdgeID{},
-		edgeLink: map[dataflow.EdgeID]MessageLink{},
-	}
-	env.rt.SetObserver(opts.Obs)
-	env.initFirings(myProcs, opts.Obs)
-
-	// Classify edges. Every edge touching this node is Init'd on the local
-	// runtime before any link comes up, so inbound DATA frames always find
-	// their queue; binding and delay preloading happen after the links are
-	// established.
-	type boundEdge struct {
-		eid  dataflow.EdgeID
-		cfg  EdgeConfig
-		tx   *Sender
-		out  bool // local side sends data
-		peer int
-	}
-	peers := map[int]*peerPlan{}
-	var bound []boundEdge
-	for _, eid := range g.Edges() {
-		e := g.Edge(eid)
-		srcNode, snkNode := nodeOf[m.Proc[e.Src]], nodeOf[m.Proc[e.Snk]]
-		switch {
-		case srcNode != me && snkNode != me:
-			continue
-		case m.Proc[e.Src] == m.Proc[e.Snk]:
-			var pre [][]byte
-			for i := 0; i < plan.delayIters(eid); i++ {
-				pre = append(pre, nil)
-			}
-			env.locals[eid] = pre
-			continue
-		}
-		cfg := plan.edgeConfig(eid)
-		tx, rx, err := env.rt.Init(cfg)
-		if err != nil {
-			return nil, err
-		}
-		env.remotes[eid] = remotePair{tx: tx, rx: rx}
-		env.edgeID[eid] = cfg.ID
-		if srcNode == me && snkNode == me {
-			// Both endpoints here: a plain in-process SPI edge.
-			if err := plan.preload(tx, eid, cfg); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		out := srcNode == me
-		peer := snkNode
-		if !out {
-			peer = srcNode
-		}
-		pp := peers[peer]
-		if pp == nil {
-			pp = &peerPlan{}
-			peers[peer] = pp
-		}
-		pp.decls = append(pp.decls, declFor(cfg, out))
-		pp.ids = append(pp.ids, cfg.ID)
-		bound = append(bound, boundEdge{eid: eid, cfg: cfg, tx: tx, out: out, peer: peer})
-	}
-
-	fails := &peerFails{}
-	var (
-		mlinks     map[int]MessageLink     // what edges bind to
-		links      map[int]*transport.Link // owned links (nil with a provider)
-		stopResume func()
-	)
-	if opts.Links != nil {
-		mlinks = make(map[int]MessageLink, len(peers))
-		stopResume = func() {}
+// connect brings up one message link per peer worker: from the
+// LinkProvider when one is set (the provider keeps the links'
+// lifecycle), else by dialing and accepting transport connections, which
+// are returned as owned. finish releases them, gracefully or abortively.
+func (env *execEnv) connect(peers map[int]*peerPlan, resync []uint16, fails *peerFails) (map[int]MessageLink, map[int]*transport.Link, func(graceful bool), error) {
+	links := make(map[int]MessageLink, len(peers))
+	if p := env.opts.Links; p != nil {
 		// Ascending peer order, so a provider that admits or rejects
 		// per-peer does so deterministically.
 		order := make([]int, 0, len(peers))
@@ -455,167 +336,77 @@ func ExecuteDistributed(g *dataflow.Graph, m *sched.Mapping, kernels map[dataflo
 		sort.Ints(order)
 		for _, peer := range order {
 			pp := peers[peer]
-			ml, cerr := opts.Links.Connect(peer, pp.decls, &linkHandler{rt: env.rt, edges: pp.ids, peer: peer, fails: fails})
-			if cerr != nil {
-				opts.Links.Finish(false)
-				return nil, cerr
+			ml, err := p.Connect(peer, pp.decls, &linkHandler{rt: env.rt, edges: pp.ids, peer: peer, fails: fails})
+			if err != nil {
+				p.Finish(false)
+				return nil, nil, nil, err
 			}
-			mlinks[peer] = ml
+			links[peer] = ml
 		}
-	} else {
-		links, stopResume, err = connectPeers(env.rt, peers, fails, opts)
-		if err != nil {
-			return nil, err
-		}
-		mlinks = make(map[int]MessageLink, len(links))
-		for p, l := range links {
-			mlinks[p] = l
-		}
+		return links, nil, p.Finish, nil
 	}
-	closeLinks := func() {
-		var wg sync.WaitGroup
-		for _, l := range links {
-			wg.Add(1)
-			go func(l *transport.Link) { defer wg.Done(); l.Close() }(l)
-		}
-		wg.Wait()
+	if len(peers) > 0 && env.opts.Transport == nil {
+		return nil, nil, nil, errors.New("spi: distributed run needs a transport or a link provider")
 	}
-	// finish releases the run's links: owned links Close or Abort, a
-	// provider is told which of the two its sessions should mimic.
+	owned, stopResume, err := env.connectPeers(peers, resync, fails)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	for peer, l := range owned {
+		links[peer] = l
+	}
 	finish := func(graceful bool) {
-		if opts.Links != nil {
-			opts.Links.Finish(graceful)
-			return
-		}
 		if graceful {
-			closeLinks()
-			return
-		}
-		for _, l := range links {
-			l.Abort()
-		}
-	}
-
-	// Bind the local half of each cross-node edge, then preload delays —
-	// sender-side only, so the initial tokens cross the wire exactly once.
-	for _, b := range bound {
-		link := mlinks[b.peer]
-		env.edgeLink[b.eid] = link
-		if b.out {
-			err = env.rt.BindRemoteSender(b.cfg.ID, link)
+			var wg sync.WaitGroup
+			for _, l := range owned {
+				wg.Add(1)
+				go func(l *transport.Link) { defer wg.Done(); l.Close() }(l)
+			}
+			wg.Wait()
 		} else {
-			err = env.rt.BindRemoteReceiver(b.cfg.ID, link)
-		}
-		if err == nil && b.out {
-			err = plan.preload(b.tx, b.eid, b.cfg)
-		}
-		if err != nil {
-			env.rt.CloseAll()
-			finish(false)
-			stopResume()
-			return nil, err
-		}
-	}
-
-	procErrs, wdErr := env.runWatched(myProcs, iterations, watchConfig{
-		stall: opts.StallTimeout, ctx: opts.Context, o: opts.Obs, node: me,
-	})
-	runErr := watchVerdict(collapseErrs(procErrs), wdErr)
-	if runErr != nil && !opts.Degrade {
-		// Abort, not Close: the peers must observe a failure so they
-		// close the shared edges, not a GOODBYE that looks like a normal
-		// completion.
-		finish(false)
-	} else {
-		// Degraded runs close gracefully: surviving peers already received
-		// FINs for the starved edges, and a GOODBYE lets them finish their
-		// own drains normally.
-		finish(true)
-	}
-	stopResume()
-
-	// Fold the transport's piggybacked-ack counts into the per-edge
-	// statistics: these are acks this node's receivers issued that rode
-	// outgoing DATA frames instead of standalone ACK frames.
-	for _, l := range links {
-		for edge, n := range l.PiggybackedAcks() {
-			env.rt.addPiggybacked(EdgeID(edge), n)
-		}
-		// And the suppressed-ack counts: acks the receive path issued that
-		// the resynchronization verdict kept off the wire entirely.
-		for edge, n := range l.SuppressedAcks() {
-			env.rt.addSuppressed(EdgeID(edge), n)
-		}
-	}
-
-	stats := &ExecStats{
-		Iterations:     iterations,
-		SPI:            env.rt.TotalStats(),
-		Edges:          env.rt.AllStats(),
-		ActorFirings:   env.firingSnapshot(),
-		LocalTransfers: env.localTransfers,
-	}
-	if opts.Degrade {
-		peerErrs := fails.snapshot()
-		var starved []string
-		firings := map[string]int{}
-		var cause error
-		for i, perr := range procErrs {
-			if perr == nil {
-				continue
-			}
-			if cause == nil || errors.Is(cause, ErrClosed) && !errors.Is(perr, ErrClosed) {
-				cause = perr
-			}
-			for _, a := range m.Order[myProcs[i]] {
-				name := g.Actor(a).Name
-				starved = append(starved, name)
-				firings[name] = stats.ActorFirings[name]
+			for _, l := range owned {
+				l.Abort()
 			}
 		}
-		if wdErr != nil && (cause == nil || errors.Is(cause, ErrClosed) || cancelled(wdErr)) {
-			// The watchdog's CloseAll is what cascaded ErrClosed (and, on
-			// peers, link teardown errors) through the processors; the
-			// stall or cancellation is the root.
-			cause = wdErr
-		}
-		if cause == nil && len(peerErrs) == 0 {
-			return stats, nil
-		}
-		if cause == nil {
-			cause = fails.first()
-		}
-		sort.Strings(starved)
-		return stats, &DegradedError{Node: me, Peers: peerErrs, Starved: starved, Firings: firings, Cause: cause}
+		stopResume()
 	}
-	if runErr != nil {
-		if cause := fails.first(); cause != nil && errors.Is(runErr, ErrClosed) {
-			return nil, fmt.Errorf("spi: node %d: %w (link failure: %v)", me, runErr, cause)
-		}
-		return nil, runErr
-	}
-	return stats, nil
+	return links, owned, finish, nil
 }
 
-// connectPeers establishes one link per peer node: this node dials every
-// lower-numbered peer (with retry/backoff, since peers boot in arbitrary
-// order) and accepts connections from every higher-numbered one. The
-// deterministic dial direction means each pair establishes exactly one
-// connection. With reconnection enabled the listener stays open after
-// setup, routing RESUME connections from re-dialing peers back to their
-// established links; the returned stop function shuts that dispatcher
-// down (it is a no-op otherwise).
-func connectPeers(rt *Runtime, peers map[int]*peerPlan, fails *peerFails, opts DistOptions) (map[int]*transport.Link, func(), error) {
+// handshake runs one link handshake on conn. A context cancelled
+// mid-handshake closes conn, so an aborted connect does not wait out the
+// handshake timeout, and the handshake reports the context error.
+func handshake(ctx context.Context, conn transport.Conn, hello func() (*transport.Link, error)) (*transport.Link, error) {
+	stop := context.AfterFunc(ctx, func() { conn.Close() })
+	l, err := hello()
+	if !stop() {
+		if l != nil {
+			l.Abort()
+		}
+		return nil, ctx.Err()
+	}
+	return l, err
+}
+
+// connectPeers establishes one link per peer worker: this worker dials
+// every lower-numbered peer (with retry/backoff, since peers boot in
+// arbitrary order) and accepts connections from every higher-numbered
+// one. The deterministic dial direction means each pair establishes
+// exactly one connection. With reconnection enabled the listener stays
+// open after setup, routing RESUME connections from re-dialing peers back
+// to their established links; the returned stop function shuts that
+// dispatcher down (it is a no-op otherwise).
+func (env *execEnv) connectPeers(peers map[int]*peerPlan, resync []uint16, fails *peerFails) (map[int]*transport.Link, func(), error) {
 	links := map[int]*transport.Link{}
 	stopNothing := func() {}
 	if len(peers) == 0 {
 		return links, stopNothing, nil
 	}
+	opts, me, addrs := env.opts, env.spec.Node, env.spec.Addrs
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	me := opts.Node
 	lcfg := transport.LinkConfig{
 		Node:          me,
 		SendTimeout:   opts.SendTimeout,
@@ -626,8 +417,8 @@ func connectPeers(rt *Runtime, peers map[int]*peerPlan, fails *peerFails, opts D
 		Reconnect:     opts.Reconnect,
 		Batch:         opts.Batch,
 		PiggybackAcks: opts.PiggybackAcks,
-		Blocked:       opts.Block > 1,
-		ResyncEdges:   opts.resyncEdges,
+		Blocked:       env.block > 1,
+		ResyncEdges:   resync,
 		Obs:           opts.Obs,
 	}
 	handlerFor := func(peer int) ([]transport.EdgeDecl, transport.Handler, error) {
@@ -635,7 +426,7 @@ func connectPeers(rt *Runtime, peers map[int]*peerPlan, fails *peerFails, opts D
 		if pp == nil {
 			return nil, nil, fmt.Errorf("no shared edges with node %d", peer)
 		}
-		return pp.decls, &linkHandler{rt: rt, edges: pp.ids, peer: peer, fails: fails}, nil
+		return pp.decls, &linkHandler{rt: env.rt, edges: pp.ids, peer: peer, fails: fails}, nil
 	}
 
 	expectAccept := 0
@@ -671,6 +462,9 @@ func connectPeers(rt *Runtime, peers map[int]*peerPlan, fails *peerFails, opts D
 		}
 		return nil
 	}
+	accept := func(conn transport.Conn) (*transport.Link, error) {
+		return transport.AcceptConn(conn, lcfg, handlerFor, lookupResume)
+	}
 
 	var wg sync.WaitGroup
 	var ln transport.Listener
@@ -678,7 +472,7 @@ func connectPeers(rt *Runtime, peers map[int]*peerPlan, fails *peerFails, opts D
 		ln = opts.Listener
 		if ln == nil {
 			var err error
-			ln, err = opts.Transport.Listen(opts.Addrs[me])
+			ln, err = opts.Transport.Listen(addrs[me])
 			if err != nil {
 				return nil, stopNothing, err
 			}
@@ -692,9 +486,9 @@ func connectPeers(rt *Runtime, peers map[int]*peerPlan, fails *peerFails, opts D
 					record(err)
 					return
 				}
-				l, err := transport.AcceptConn(conn, lcfg, handlerFor, lookupResume)
+				l, err := handshake(ctx, conn, func() (*transport.Link, error) { return accept(conn) })
 				if err != nil {
-					if opts.Reconnect.Enabled() {
+					if opts.Reconnect.Enabled() && ctx.Err() == nil {
 						continue // a faulty first attempt; the peer re-dials
 					}
 					record(err)
@@ -715,7 +509,7 @@ func connectPeers(rt *Runtime, peers map[int]*peerPlan, fails *peerFails, opts D
 		wg.Add(1)
 		go func(peer int) {
 			defer wg.Done()
-			addr := opts.Addrs[peer]
+			addr := addrs[peer]
 			conn, err := transport.DialRetry(ctx, opts.Transport, addr, opts.Retry)
 			if err != nil {
 				record(fmt.Errorf("could not reach node %d at %s: %w", peer, addr, err))
@@ -727,7 +521,7 @@ func connectPeers(rt *Runtime, peers map[int]*peerPlan, fails *peerFails, opts D
 			if opts.Reconnect.Enabled() {
 				dcfg.Redial = func() (transport.Conn, error) { return opts.Transport.Dial(addr) }
 			}
-			l, err := transport.NewLink(conn, dcfg, h)
+			l, err := handshake(ctx, conn, func() (*transport.Link, error) { return transport.NewLink(conn, dcfg, h) })
 			if err != nil {
 				record(fmt.Errorf("handshake with node %d at %s: %w", peer, addr, err))
 				return
@@ -761,6 +555,11 @@ func connectPeers(rt *Runtime, peers map[int]*peerPlan, fails *peerFails, opts D
 			}
 		}
 	}
+	if firstErr != nil && ctx.Err() != nil && !errors.Is(firstErr, ctx.Err()) {
+		// A cancelled connect reports the cancellation, not the closed
+		// listener it caused.
+		firstErr = fmt.Errorf("%w (%v)", ctx.Err(), firstErr)
+	}
 	if firstErr != nil {
 		if ln != nil {
 			ln.Close()
@@ -787,7 +586,7 @@ func connectPeers(rt *Runtime, peers map[int]*peerPlan, fails *peerFails, opts D
 					if err != nil {
 						return // listener closed: dispatcher retires
 					}
-					l, err := transport.AcceptConn(conn, lcfg, handlerFor, lookupResume)
+					l, err := accept(conn)
 					if err != nil {
 						continue
 					}
@@ -817,30 +616,25 @@ func connectPeers(rt *Runtime, peers map[int]*peerPlan, fails *peerFails, opts D
 // session-scoped run finds its edges already declared on the shared link.
 // block must match the executions' DistOptions.Block.
 func PeerDecls(g *dataflow.Graph, m *sched.Mapping, nodeOf []int, me, block int) (map[int][]transport.EdgeDecl, error) {
-	if err := m.Validate(g); err != nil {
+	p, err := PlanPartitions(g, m, block, false)
+	if err != nil {
 		return nil, err
 	}
 	if len(nodeOf) != m.NumProcs {
 		return nil, fmt.Errorf("spi: NodeOf has %d entries, mapping has %d processors", len(nodeOf), m.NumProcs)
 	}
-	plan, err := newGraphPlan(g, block)
-	if err != nil {
-		return nil, err
-	}
 	decls := map[int][]transport.EdgeDecl{}
-	for _, eid := range g.Edges() {
-		e := g.Edge(eid)
-		srcNode, snkNode := nodeOf[m.Proc[e.Src]], nodeOf[m.Proc[e.Snk]]
-		if srcNode == snkNode || (srcNode != me && snkNode != me) {
+	for i := range p.edges {
+		src, snk := nodeOf[p.ends[i][0]], nodeOf[p.ends[i][1]]
+		if src == snk || (src != me && snk != me) {
 			continue
 		}
-		cfg := plan.edgeConfig(eid)
-		out := srcNode == me
-		peer := snkNode
+		out := src == me
+		peer := snk
 		if !out {
-			peer = srcNode
+			peer = src
 		}
-		decls[peer] = append(decls[peer], declFor(cfg, out))
+		decls[peer] = append(decls[peer], p.edges[i].decl(out))
 	}
 	return decls, nil
 }

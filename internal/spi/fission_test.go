@@ -258,7 +258,7 @@ func TestFissionPartitionExecution(t *testing.T) {
 	// procs: 0(A,D) 1(B) 2(C scatter + gather) 3..5 replicas.
 	workerOf := []int{0, 1, 2, 0, 1, 2}
 	workers := 3
-	specs, err := BuildPartitions(plan.Graph, fm, workerOf, workers)
+	specs, err := BuildPartitions(plan.Graph, fm, workerOf, workers, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestFissionPartitionExecution(t *testing.T) {
 		for id, kern := range fk {
 			byName[plan.Graph.Actor(id).Name] = kern
 		}
-		opts := PartOptions{
+		opts := DistOptions{
 			Transport: tr, Listener: lns[w],
 			Retry: transport.RetryConfig{Attempts: 20, BaseDelay: time.Millisecond,
 				MaxDelay: 5 * time.Millisecond},
@@ -308,7 +308,7 @@ func TestFissionPartitionExecution(t *testing.T) {
 			opts.State["B"] = hooks["B"]
 		}
 		wg.Add(1)
-		go func(w int, spec *PartitionSpec, byName map[string]Kernel, opts PartOptions) {
+		go func(w int, spec *PartitionSpec, byName map[string]Kernel, opts DistOptions) {
 			defer wg.Done()
 			_, errs[w] = ExecutePartition(spec, byName, opts)
 		}(w, spec, byName, opts)

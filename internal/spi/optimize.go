@@ -96,7 +96,7 @@ func ResyncSuppression(g *dataflow.Graph, m *sched.Mapping) (*ResyncPlan, error)
 		if !ok {
 			continue
 		}
-		if pl.edgeConfig(eid).Protocol != UBS {
+		if pl.edgeConfig(eid, 1).Protocol != UBS {
 			continue
 		}
 		// The removal is only actionable with an explicit witness: a path

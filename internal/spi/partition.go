@@ -1,28 +1,25 @@
 package spi
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
-	"time"
 
 	"repro/internal/dataflow"
-	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/transport"
 )
 
-// Partition-scoped execution: run one worker's share of a mapped graph
-// from a self-contained PartitionSpec, without the graph, the mapping, or
-// the VTS analysis. The coordinator (internal/orch) extracts the spec
-// from the full plan and ships it over the control plane; the worker
-// rebuilds exactly the execution environment ExecuteDistributed would
-// have built for the same processors — same edge configs, same payload
-// padding, same receive order, same preloaded delays — so any placement
-// of the processors over any number of workers produces bit-identical
-// kernel inputs.
+// The lowering: every execution of a mapped graph — Execute,
+// ExecuteBlocked, ExecuteDistributed, and the orchestrated epochs of
+// internal/orch — runs as one or more PartitionSpecs on ExecutePartition.
+// PlanPartitions does the placement-independent work once (VTS analysis,
+// edge configs, slab framing, the optional resynchronization verdict);
+// Split cuts the plan into one self-contained spec per worker for a
+// processor→worker placement. A spec carries everything the executor
+// needs without the graph, the mapping, or the VTS analysis, and
+// locality follows the processor mapping, never the placement, so any
+// placement of the processors over any number of workers produces
+// bit-identical kernel inputs.
 //
 // A spec additionally carries resumption state: BaseIter offsets the
 // iteration numbers the kernels see, Preload holds the in-flight tokens
@@ -50,6 +47,16 @@ type PartEdge struct {
 	Capacity uint32
 	// Delay is the edge's initial delay in whole graph iterations.
 	Delay uint32
+	// Block is the number of iterations each message carries: the
+	// spec's blocking factor on a cross-processor edge whose delay is a
+	// whole multiple of it, else 1 (0 reads as 1). On a blocked edge
+	// (Block > 1) Mode and Bytes describe the slab channel, and BMax and
+	// Dynamic the bound and framing of each token inside a slab (see
+	// PackSlab); on any other edge they equal Bytes and Mode. The orch
+	// control plane ships scalar specs and does not carry these fields.
+	Block   uint32
+	BMax    uint32
+	Dynamic bool
 	// SameProc marks both endpoints on one processor: a local queue.
 	SameProc bool
 	// Out/In mark the hosted endpoints of a cross-processor edge: both
@@ -62,15 +69,13 @@ type PartEdge struct {
 	Peer int
 	// SuppressAck marks a UBS edge whose acknowledgement the §4
 	// resynchronization verdict proved redundant (see ResyncSuppression).
-	// BuildPartitions always stamps it — the verdict depends only on the
-	// graph and processor mapping, never on placement — and the spec's
-	// Resync flag decides whether the deployment acts on it.
+	// Only a plan built with resync stamps it, and the specs split from
+	// such a plan set Resync.
 	SuppressAck bool
 }
 
 // PartActor is one actor of a partition, with its full edge lists in
-// graph order (the executor consumes inputs in exactly this order, like
-// the mapped executor consumes g.In(a)).
+// graph order (the executor consumes inputs in exactly this order).
 type PartActor struct {
 	Name string
 	In   []uint16
@@ -101,21 +106,27 @@ type PartitionSpec struct {
 	// iterations BaseIter..BaseIter+Iterations-1.
 	BaseIter   int
 	Iterations int
+	// Block is the blocking factor B: every processor fires B
+	// consecutive iterations per super-iteration (0 or 1 is scalar). All
+	// workers of an execution must agree; links refuse a peer that does
+	// not.
+	Block int
 	// Procs are the processors placed on this worker, Edges every edge
 	// touching them.
 	Procs []PartProc
 	Edges []PartEdge
 	// Preload holds, per delayed edge whose producing side lives here
-	// (Out or SameProc), the in-flight payloads at BaseIter — the zero
-	// blocks of a fresh run, or the previous epoch's tails.
+	// (Out or SameProc), the in-flight payloads at BaseIter — the
+	// canonical delay tokens of a fresh run (InitialPreloads), or the
+	// previous epoch's tails.
 	Preload map[uint16][][]byte
 	// State holds per-actor checkpoint blobs for stateful kernels,
 	// keyed by actor name (see StateHooks).
 	State map[string][]byte
-	// Resync activates ack suppression on the edges BuildPartitions
-	// marked SuppressAck: cross-worker links negotiate the set with
-	// their peers (featResync) and swallow the redundant acks. The
-	// coordinator sets it uniformly for all workers of an epoch.
+	// Resync activates ack suppression on the edges marked SuppressAck:
+	// cross-worker links negotiate the set with their peers (featResync)
+	// and swallow the redundant acks. All workers of an execution must
+	// agree.
 	Resync bool
 }
 
@@ -145,155 +156,219 @@ type StateHooks struct {
 	Restore    func(state []byte) error
 }
 
-// PartOptions configures one partition execution.
-type PartOptions struct {
-	// Transport carries the data-plane links to peer workers.
-	Transport transport.Transport
-	// Listener optionally supplies the pre-bound listener for
-	// Addrs[Node] (the per-epoch ephemeral listener the worker announced
-	// to the coordinator).
-	Listener transport.Listener
-	// Retry configures dial retry/backoff toward peer workers.
-	Retry transport.RetryConfig
-	// Context, when non-nil, aborts the run when cancelled: every
-	// blocked actor is released and the run returns the context error.
-	// The coordinator's Abort is exactly a cancellation.
-	Context context.Context
-	// Reconnect enables RESUME link resumption on the data plane, so a
-	// severed connection mid-epoch replays its unacknowledged suffix
-	// instead of failing the epoch.
-	Reconnect transport.ReconnectConfig
-	// Heartbeat / PeerTimeout enable liveness probing on data links.
-	Heartbeat   time.Duration
-	PeerTimeout time.Duration
-	// SendTimeout bounds each frame write on data links.
-	SendTimeout time.Duration
-	// State supplies checkpoint/restore hooks per stateful actor name.
-	State map[string]StateHooks
-	// Obs instruments the run's runtime edges and links.
-	Obs *obs.Observer
-}
-
-// partEnv is the partition-local execution environment, the spec-driven
-// image of execEnv.
-type partEnv struct {
-	spec    *PartitionSpec
-	kernels map[string]Kernel
-	edges   map[uint16]*PartEdge
-	rt      *Runtime
-
-	remotes map[uint16]remotePair
-	locals  map[uint16][][]byte
-	localMu sync.Mutex
-
-	// tails accumulates the conceptual in-flight queue per delayed edge
-	// produced here: seeded from Preload, appended on every send or
-	// local push, trimmed to the delay depth.
-	tails   map[uint16][][]byte
-	tailsMu sync.Mutex
-
-	firings map[string]*int
-	procNS  []int64
-}
-
-func (env *partEnv) pad(e *PartEdge, payload []byte) ([]byte, error) {
-	if len(payload) > int(e.Bytes) {
-		return nil, fmt.Errorf("spi: kernel produced %d bytes on edge %s, bound %d",
-			len(payload), e.Name, e.Bytes)
+// config renders the edge's planned SPI configuration.
+func (e *PartEdge) config() EdgeConfig {
+	cfg := EdgeConfig{ID: EdgeID(e.ID), Name: e.Name, Mode: Mode(e.Mode),
+		Protocol: Protocol(e.Protocol), Capacity: int(e.Capacity)}
+	if cfg.Mode == Dynamic {
+		cfg.MaxBytes = int(e.Bytes)
+	} else {
+		cfg.PayloadBytes = int(e.Bytes)
 	}
-	if e.Mode == uint8(Static) && len(payload) != int(e.Bytes) {
-		out := make([]byte, e.Bytes)
-		copy(out, payload)
-		return out, nil
-	}
-	return payload, nil
+	return cfg
 }
 
-// recordTail appends one produced payload to an edge's in-flight tail,
-// keeping only the last Delay payloads. A copy is taken: the payload may
-// alias a kernel buffer that the next firing reuses.
-func (env *partEnv) recordTail(e *PartEdge, payload []byte) {
-	env.tailsMu.Lock()
-	t := append(env.tails[e.ID], append([]byte(nil), payload...))
-	if d := int(e.Delay); len(t) > d {
-		t = t[len(t)-d:]
-	}
-	env.tails[e.ID] = t
-	env.tailsMu.Unlock()
+// decl renders the edge as a handshake manifest entry; out is whether
+// the declaring side sends.
+func (e *PartEdge) decl(out bool) transport.EdgeDecl {
+	return transport.EdgeDecl{ID: e.ID, Mode: e.Mode, Out: out, Bytes: e.Bytes,
+		Protocol: e.Protocol, Capacity: e.Capacity}
 }
 
-// runPartProc is one processor's firing loop, the spec-driven image of
-// execEnv.runProc: same receive order, same padding, same buffer-reuse
-// and copy discipline, so kernels see byte-identical inputs.
-func (env *partEnv) runPartProc(pi int, proc *PartProc) error {
-	spec := env.spec
-	in := map[dataflow.EdgeID][]byte{}
-	recvBuf := map[uint16][]byte{}
-	var busy int64
-	defer func() { env.procNS[pi] = busy }()
-	for i := 0; i < spec.Iterations; i++ {
-		iter := spec.BaseIter + i
-		for ai := range proc.Actors {
-			a := &proc.Actors[ai]
-			clear(in)
-			remoteIn := false
-			for _, id := range a.In {
-				e := env.edges[id]
-				if r, ok := env.remotes[id]; ok {
-					payload, err := r.rx.ReceiveInto(recvBuf[id])
-					if err != nil {
-						return fmt.Errorf("spi: actor %s recv %s: %w", a.Name, e.Name, err)
-					}
-					in[dataflow.EdgeID(id)] = payload
-					recvBuf[id] = payload
-					remoteIn = true
-					continue
-				}
-				env.localMu.Lock()
-				queue := env.locals[id]
-				if len(queue) == 0 {
-					env.localMu.Unlock()
-					return fmt.Errorf("spi: actor %s local underflow on %s (partition bug)", a.Name, e.Name)
-				}
-				in[dataflow.EdgeID(id)] = queue[0]
-				env.locals[id] = queue[1:]
-				env.localMu.Unlock()
-			}
-			start := time.Now()
-			out, err := env.kernels[a.Name](iter, in)
-			busy += time.Since(start).Nanoseconds()
-			if err != nil {
-				return fmt.Errorf("spi: actor %s iteration %d: %w", a.Name, iter, err)
-			}
-			for _, id := range a.Out {
-				e := env.edges[id]
-				payload, err := env.pad(e, out[dataflow.EdgeID(id)])
-				if err != nil {
-					return err
-				}
-				if e.Delay > 0 {
-					env.recordTail(e, payload)
-				}
-				if r, ok := env.remotes[id]; ok {
-					if err := r.tx.Send(payload); err != nil {
-						return fmt.Errorf("spi: actor %s send %s: %w", a.Name, e.Name, err)
-					}
-					continue
-				}
-				if remoteIn {
-					payload = append([]byte(nil), payload...)
-				}
-				env.localMu.Lock()
-				env.locals[id] = append(env.locals[id], payload)
-				env.localMu.Unlock()
-			}
-			*env.firings[a.Name]++
+// crossesWorkers reports whether an edge has exactly one endpoint on this
+// worker, i.e. rides a link to a peer.
+func crossesWorkers(e *PartEdge) bool {
+	return !e.SameProc && (e.Out != e.In)
+}
+
+// delayTokens is a delayed edge's in-flight payloads at iteration 0: zero
+// blocks of the static token size on cross-processor static edges, empty
+// payloads everywhere else (same-processor queues and dynamic edges).
+func delayTokens(e *PartEdge) [][]byte {
+	tok := []byte{}
+	if !e.SameProc && !e.Dynamic {
+		tok = make([]byte, e.BMax)
+	}
+	tokens := make([][]byte, e.Delay)
+	for i := range tokens {
+		tokens[i] = tok
+	}
+	return tokens
+}
+
+// PartitionPlan is the placement-independent half of the lowering: the
+// edge plans, slab framing, optional resynchronization verdict, and
+// per-processor actor lists of one graph and mapping. Build it once per
+// run with PlanPartitions; Split is cheap and runs once per placement.
+type PartitionPlan struct {
+	g      *dataflow.Graph
+	block  int
+	resync bool
+	procs  []PartProc // by processor index
+	edges  []PartEdge // graph order; endpoint flags unset
+	ends   [][2]int   // source and sink processor, parallel to edges
+}
+
+// PlanPartitions lowers a mapped graph for execution with blocking factor
+// block (0 or 1 is scalar). With resync it also computes the §4
+// resynchronization verdict (ResyncSuppression) — a pure function of the
+// graph and mapping — and marks the redundant UBS acks SuppressAck.
+func PlanPartitions(g *dataflow.Graph, m *sched.Mapping, block int, resync bool) (*PartitionPlan, error) {
+	if err := m.Validate(g); err != nil {
+		return nil, err
+	}
+	gp, err := newGraphPlan(g, block)
+	if err != nil {
+		return nil, err
+	}
+	if gp.block > 1 {
+		if err := checkBlockedMapping(g, m, gp.q, gp.block); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	var suppressed map[dataflow.EdgeID]string
+	if resync {
+		rp, err := ResyncSuppression(g, m)
+		if err != nil {
+			return nil, err
+		}
+		suppressed = rp.Suppressed
+	}
+	p := &PartitionPlan{
+		g: g, block: gp.block, resync: resync, procs: make([]PartProc, m.NumProcs),
+		edges: make([]PartEdge, 0, g.NumEdges()), ends: make([][2]int, 0, g.NumEdges()),
+	}
+	ids := func(eids []dataflow.EdgeID) []uint16 {
+		out := make([]uint16, len(eids))
+		for i, eid := range eids {
+			out[i] = uint16(eid)
+		}
+		return out
+	}
+	for proc := range p.procs {
+		pp := PartProc{Proc: proc, Actors: make([]PartActor, len(m.Order[proc]))}
+		for i, a := range m.Order[proc] {
+			pp.Actors[i] = PartActor{Name: g.Actor(a).Name, In: ids(g.In(a)), Out: ids(g.Out(a))}
+		}
+		p.procs[proc] = pp
+	}
+	for _, eid := range g.Edges() {
+		e := g.Edge(eid)
+		src, snk := int(m.Proc[e.Src]), int(m.Proc[e.Snk])
+		pe := gp.partEdge(eid, src == snk)
+		_, pe.SuppressAck = suppressed[eid]
+		p.edges = append(p.edges, pe)
+		p.ends = append(p.ends, [2]int{src, snk})
+	}
+	return p, nil
 }
 
-func validatePartition(spec *PartitionSpec, kernels map[string]Kernel) error {
+// Split extracts one PartitionSpec per worker for the processor→worker
+// placement workerOf — the coordinator-side complement of
+// ExecutePartition. The specs carry structure and edge plans and share
+// the plan's read-only actor lists; the caller fills the per-epoch fields
+// (BaseIter, Iterations, Addrs, Preload, State). Every worker must host
+// at least one processor.
+func (p *PartitionPlan) Split(workerOf []int, workers int) ([]*PartitionSpec, error) {
+	specs, err := p.split(workerOf, workers)
+	if err != nil {
+		return nil, err
+	}
+	for w, s := range specs {
+		if len(s.Procs) == 0 {
+			return nil, fmt.Errorf("spi: worker %d hosts no processors", w)
+		}
+	}
+	return specs, nil
+}
+
+// split is Split without the every-worker-hosts-something rule, for a
+// distributed node that needs only its own spec.
+func (p *PartitionPlan) split(workerOf []int, workers int) ([]*PartitionSpec, error) {
+	if len(workerOf) != len(p.procs) {
+		return nil, fmt.Errorf("spi: placement has %d entries, mapping has %d processors", len(workerOf), len(p.procs))
+	}
+	for proc, w := range workerOf {
+		if w < 0 || w >= workers {
+			return nil, fmt.Errorf("spi: placement[%d] = %d out of range [0,%d)", proc, w, workers)
+		}
+	}
+	nEdges := make([]int, workers)
+	for i := range p.edges {
+		srcW, snkW := workerOf[p.ends[i][0]], workerOf[p.ends[i][1]]
+		nEdges[srcW]++
+		if srcW != snkW {
+			nEdges[snkW]++
+		}
+	}
+	specs := make([]*PartitionSpec, workers)
+	for w := range specs {
+		specs[w] = &PartitionSpec{
+			Graph: p.g.Name(), Node: w, Workers: workers, Block: p.block, Resync: p.resync,
+			Edges:   make([]PartEdge, 0, nEdges[w]),
+			Preload: map[uint16][][]byte{}, State: map[string][]byte{},
+		}
+	}
+	for proc, w := range workerOf {
+		specs[w].Procs = append(specs[w].Procs, p.procs[proc])
+	}
+	for i, pe := range p.edges {
+		srcW, snkW := workerOf[p.ends[i][0]], workerOf[p.ends[i][1]]
+		switch {
+		case pe.SameProc:
+			specs[srcW].Edges = append(specs[srcW].Edges, pe)
+		case srcW == snkW:
+			pe.Out, pe.In = true, true
+			specs[srcW].Edges = append(specs[srcW].Edges, pe)
+		default:
+			src := pe
+			src.Out, src.Peer = true, snkW
+			specs[srcW].Edges = append(specs[srcW].Edges, src)
+			pe.In, pe.Peer = true, srcW
+			specs[snkW].Edges = append(specs[snkW].Edges, pe)
+		}
+	}
+	return specs, nil
+}
+
+// BuildPartitions plans and splits in one call: PlanPartitions(g, m,
+// block, false) followed by Split(workerOf, workers). A caller placing
+// the same graph repeatedly (one placement per epoch) should build the
+// plan once and Split it per placement.
+func BuildPartitions(g *dataflow.Graph, m *sched.Mapping, workerOf []int, workers, block int) ([]*PartitionSpec, error) {
+	p, err := PlanPartitions(g, m, block, false)
+	if err != nil {
+		return nil, err
+	}
+	return p.Split(workerOf, workers)
+}
+
+// InitialPreloads computes every delayed edge's in-flight payloads at
+// iteration 0 — the canonical delay tokens a fresh run preloads: empty
+// payloads on same-processor edges and dynamic edges, zero blocks of the
+// static transfer size on cross-processor static edges. Locality follows
+// the processor mapping, never worker placement, so the preloaded bytes
+// match Execute's for any placement.
+func (p *PartitionPlan) InitialPreloads() map[uint16][][]byte {
+	pre := map[uint16][][]byte{}
+	for i := range p.edges {
+		if e := &p.edges[i]; e.Delay > 0 {
+			pre[e.ID] = delayTokens(e)
+		}
+	}
+	return pre
+}
+
+// InitialPreloads is PlanPartitions(g, m, 1, false).InitialPreloads().
+func InitialPreloads(g *dataflow.Graph, m *sched.Mapping) (map[uint16][][]byte, error) {
+	p, err := PlanPartitions(g, m, 1, false)
+	if err != nil {
+		return nil, err
+	}
+	return p.InitialPreloads(), nil
+}
+
+func validatePartition(spec *PartitionSpec) error {
 	if spec.Iterations <= 0 {
 		return fmt.Errorf("spi: partition iterations = %d", spec.Iterations)
 	}
@@ -306,283 +381,38 @@ func validatePartition(spec *PartitionSpec, kernels map[string]Kernel) error {
 	if spec.Node < 0 || spec.Workers < 1 || spec.Node >= spec.Workers {
 		return fmt.Errorf("spi: partition node %d of %d workers", spec.Node, spec.Workers)
 	}
-	seen := map[uint16]bool{}
 	for i := range spec.Edges {
 		e := &spec.Edges[i]
-		if seen[e.ID] {
-			return fmt.Errorf("spi: partition declares edge %d twice", e.ID)
-		}
-		seen[e.ID] = true
 		if !e.SameProc && !e.Out && !e.In {
 			return fmt.Errorf("spi: partition edge %s has no hosted endpoint", e.Name)
 		}
 		if crossesWorkers(e) && (e.Peer < 0 || e.Peer >= spec.Workers || e.Peer == spec.Node) {
 			return fmt.Errorf("spi: partition edge %s names peer worker %d of %d", e.Name, e.Peer, spec.Workers)
 		}
-	}
-	for pi := range spec.Procs {
-		for ai := range spec.Procs[pi].Actors {
-			a := &spec.Procs[pi].Actors[ai]
-			if kernels[a.Name] == nil {
-				return fmt.Errorf("spi: actor %s has no kernel", a.Name)
-			}
-			for _, id := range append(append([]uint16{}, a.In...), a.Out...) {
-				if !seen[id] {
-					return fmt.Errorf("spi: actor %s references undeclared edge %d", a.Name, id)
-				}
-			}
+		if e.Block > 1 && (e.SameProc || int(e.Block) != spec.Block || e.Delay%e.Block != 0) {
+			return fmt.Errorf("spi: partition edge %s carries %d-iteration slabs under block %d", e.Name, e.Block, spec.Block)
 		}
 	}
 	return nil
 }
 
-// crossesWorkers reports whether an edge has exactly one endpoint on this
-// worker, i.e. rides a link to a peer.
-func crossesWorkers(e *PartEdge) bool {
-	return !e.SameProc && (e.Out != e.In)
-}
-
-// ExecutePartition runs one worker's partition of an execution epoch from
-// its self-contained spec. Kernels are keyed by actor name; cross-worker
-// edges are carried over links dialed/accepted per the spec's per-epoch
-// addresses (lower-numbered workers are dialed, higher-numbered accepted,
-// exactly like ExecuteDistributed's node rule). The run is fail-fast: a
-// dead peer, a kernel error, or a cancelled context aborts the epoch and
+// ExecutePartition runs one worker's partition of an execution from its
+// self-contained spec; it is the one executor behind every entry point.
+// Kernels (and opts.VectorKernels) are keyed by actor name. The spec
+// supersedes opts' Node, Addrs, NodeOf, Block and Resync. Cross-worker
+// edges ride the links opts.Links provides, or links dialed/accepted per
+// the spec's addresses (lower-numbered workers are dialed,
+// higher-numbered accepted). Without opts.Degrade the run is fail-fast: a
+// dead peer, a kernel error, or a cancelled context aborts the epoch, and
 // the coordinator re-places and re-executes it — determinism makes the
-// re-execution bit-identical.
-func ExecutePartition(spec *PartitionSpec, kernels map[string]Kernel, opts PartOptions) (*PartResult, error) {
-	if err := validatePartition(spec, kernels); err != nil {
-		return nil, err
-	}
-	env := &partEnv{
-		spec:    spec,
-		kernels: kernels,
-		edges:   map[uint16]*PartEdge{},
-		rt:      NewRuntime(),
-		remotes: map[uint16]remotePair{},
-		locals:  map[uint16][][]byte{},
-		tails:   map[uint16][][]byte{},
-		firings: map[string]*int{},
-		procNS:  make([]int64, len(spec.Procs)),
-	}
-	env.rt.SetObserver(opts.Obs)
-	for pi := range spec.Procs {
-		for ai := range spec.Procs[pi].Actors {
-			env.firings[spec.Procs[pi].Actors[ai].Name] = new(int)
-		}
-	}
-
-	// Restore checkpointed actor state before any firing.
-	for name, hooks := range opts.State {
-		if hooks.Restore == nil {
-			continue
-		}
-		if err := hooks.Restore(spec.State[name]); err != nil {
-			return nil, fmt.Errorf("spi: restore state of actor %s: %w", name, err)
-		}
-	}
-
-	// Classify edges and initialize runtime edges before any link comes
-	// up, so inbound DATA always finds its queue.
-	type outEdge struct {
-		e  *PartEdge
-		tx *Sender
-	}
-	peers := map[int]*peerPlan{}
-	var outs []outEdge
-	var resyncIDs []uint16
-	for i := range spec.Edges {
-		e := &spec.Edges[i]
-		env.edges[e.ID] = e
-		if e.SameProc {
-			pre := clonePayloads(spec.Preload[e.ID])
-			env.locals[e.ID] = pre
-			env.tails[e.ID] = clonePayloads(pre)
-			continue
-		}
-		cfg := EdgeConfig{ID: EdgeID(e.ID), Name: e.Name, Mode: Mode(e.Mode),
-			Protocol: Protocol(e.Protocol), Capacity: int(e.Capacity)}
-		if cfg.Mode == Dynamic {
-			cfg.MaxBytes = int(e.Bytes)
-		} else {
-			cfg.PayloadBytes = int(e.Bytes)
-		}
-		tx, rx, err := env.rt.Init(cfg)
-		if err != nil {
-			return nil, err
-		}
-		env.remotes[e.ID] = remotePair{tx: tx, rx: rx}
-		if e.Out {
-			outs = append(outs, outEdge{e: e, tx: tx})
-			env.tails[e.ID] = clonePayloads(spec.Preload[e.ID])
-		}
-		if crossesWorkers(e) {
-			pp := peers[e.Peer]
-			if pp == nil {
-				pp = &peerPlan{}
-				peers[e.Peer] = pp
-			}
-			pp.decls = append(pp.decls, transport.EdgeDecl{
-				ID: e.ID, Mode: e.Mode, Out: e.Out, Bytes: e.Bytes,
-				Protocol: e.Protocol, Capacity: e.Capacity,
-			})
-			pp.ids = append(pp.ids, EdgeID(e.ID))
-			if spec.Resync && e.SuppressAck {
-				resyncIDs = append(resyncIDs, e.ID)
-			}
-		}
-	}
-	sort.Slice(resyncIDs, func(i, j int) bool { return resyncIDs[i] < resyncIDs[j] })
-
-	// Establish the per-epoch data links, reusing the distributed-run
-	// connect logic: dial lower-numbered workers, accept higher-numbered
-	// ones, keep the listener routing RESUME frames while reconnection
-	// is on.
-	fails := &peerFails{}
-	links, stopResume, err := connectPeers(env.rt, peers, fails, DistOptions{
-		Transport: opts.Transport, Node: spec.Node, Addrs: spec.Addrs,
-		Listener: opts.Listener, Retry: opts.Retry, Context: opts.Context,
-		Reconnect: opts.Reconnect, Heartbeat: opts.Heartbeat,
-		PeerTimeout: opts.PeerTimeout, SendTimeout: opts.SendTimeout,
-		Obs: opts.Obs, resyncEdges: resyncIDs,
-	})
+// re-execution bit-identical. With opts.Degrade a run that lost peers
+// returns its partial result alongside a *DegradedError.
+func ExecutePartition(spec *PartitionSpec, kernels map[string]Kernel, opts DistOptions) (*PartResult, error) {
+	env, err := newExecEnv(spec, kernels, &opts)
 	if err != nil {
 		return nil, err
 	}
-	finish := func(graceful bool) {
-		if graceful {
-			var wg sync.WaitGroup
-			for _, l := range links {
-				wg.Add(1)
-				go func(l *transport.Link) { defer wg.Done(); l.Close() }(l)
-			}
-			wg.Wait()
-			return
-		}
-		for _, l := range links {
-			l.Abort()
-		}
-	}
-
-	// Bind cross-worker edges, then replay the in-flight tokens —
-	// sender-side only, so each token crosses the wire exactly once.
-	for i := range spec.Edges {
-		e := &spec.Edges[i]
-		if !crossesWorkers(e) {
-			continue
-		}
-		link := links[e.Peer]
-		if e.Out {
-			err = env.rt.BindRemoteSender(EdgeID(e.ID), link)
-		} else {
-			err = env.rt.BindRemoteReceiver(EdgeID(e.ID), link)
-		}
-		if err != nil {
-			env.rt.CloseAll()
-			finish(false)
-			stopResume()
-			return nil, err
-		}
-	}
-	for _, oe := range outs {
-		pre := spec.Preload[oe.e.ID]
-		if len(pre) == 0 {
-			continue
-		}
-		if err := oe.tx.SendBatch(pre); err != nil {
-			env.rt.CloseAll()
-			finish(false)
-			stopResume()
-			return nil, fmt.Errorf("spi: preload edge %s: %w", oe.e.Name, err)
-		}
-	}
-
-	// Run the processors; a cancelled context unwinds every blocked
-	// actor by closing the runtime edges.
-	ctx := opts.Context
-	var cancelWatch func()
-	watchDone := make(chan struct{})
-	if ctx != nil {
-		wctx, cancel := context.WithCancel(ctx)
-		cancelWatch = cancel
-		go func() {
-			defer close(watchDone)
-			<-wctx.Done()
-			if ctx.Err() != nil {
-				env.rt.CloseAll()
-			}
-		}()
-	} else {
-		close(watchDone)
-	}
-	errs := make([]error, len(spec.Procs))
-	var wg sync.WaitGroup
-	for pi := range spec.Procs {
-		wg.Add(1)
-		go func(pi int) {
-			defer wg.Done()
-			errs[pi] = env.runPartProc(pi, &spec.Procs[pi])
-			if errs[pi] != nil {
-				env.rt.CloseAll()
-			}
-		}(pi)
-	}
-	wg.Wait()
-	if cancelWatch != nil {
-		cancelWatch()
-		<-watchDone
-	}
-	runErr := collapseErrs(errs)
-	if ctx != nil && ctx.Err() != nil {
-		runErr = ctx.Err()
-	}
-	if runErr != nil {
-		finish(false)
-		stopResume()
-		if cause := fails.first(); cause != nil && errors.Is(runErr, ErrClosed) {
-			return nil, fmt.Errorf("spi: worker %d: %w (link failure: %v)", spec.Node, runErr, cause)
-		}
-		return nil, runErr
-	}
-	finish(true)
-	stopResume()
-
-	// Fold the links' suppressed-ack counts out of the wire-traffic
-	// columns before snapshotting, mirroring ExecuteDistributed.
-	for _, l := range links {
-		for edge, n := range l.SuppressedAcks() {
-			env.rt.addSuppressed(EdgeID(edge), n)
-		}
-	}
-
-	res := &PartResult{
-		Tails:   map[uint16][][]byte{},
-		State:   map[string][]byte{},
-		Firings: map[string]int{},
-		ProcNS:  env.procNS,
-		SPI:     env.rt.TotalStats(),
-	}
-	for name, n := range env.firings {
-		res.Firings[name] = *n
-	}
-	for id, t := range env.tails {
-		e := env.edges[id]
-		if e.Delay == 0 {
-			continue
-		}
-		if e.SameProc {
-			// The local queue itself is the in-flight state (it handles
-			// epochs shorter than the delay for free).
-			t = env.locals[id]
-		}
-		res.Tails[id] = clonePayloads(t)
-	}
-	for name, hooks := range opts.State {
-		if hooks.Checkpoint != nil {
-			res.State[name] = hooks.Checkpoint()
-		}
-	}
-	return res, nil
+	return env.execute()
 }
 
 func clonePayloads(in [][]byte) [][]byte {
@@ -594,132 +424,4 @@ func clonePayloads(in [][]byte) [][]byte {
 		out[i] = append([]byte(nil), p...)
 	}
 	return out
-}
-
-// BuildPartitions extracts one PartitionSpec per worker from the full
-// graph, processor mapping, and processor→worker placement — the
-// coordinator-side complement of ExecutePartition. The returned specs
-// carry structure and edge plans only; the caller fills the per-epoch
-// fields (BaseIter, Iterations, Addrs, Preload, State). Every worker must
-// host at least one processor.
-func BuildPartitions(g *dataflow.Graph, m *sched.Mapping, workerOf []int, workers int) ([]*PartitionSpec, error) {
-	if err := m.Validate(g); err != nil {
-		return nil, err
-	}
-	if len(workerOf) != m.NumProcs {
-		return nil, fmt.Errorf("spi: placement has %d entries, mapping has %d processors", len(workerOf), m.NumProcs)
-	}
-	hosted := make([]bool, workers)
-	for p, w := range workerOf {
-		if w < 0 || w >= workers {
-			return nil, fmt.Errorf("spi: placement[%d] = %d out of range [0,%d)", p, w, workers)
-		}
-		hosted[w] = true
-	}
-	for w, ok := range hosted {
-		if !ok {
-			return nil, fmt.Errorf("spi: worker %d hosts no processors", w)
-		}
-	}
-	plan, err := newGraphPlan(g, 1)
-	if err != nil {
-		return nil, err
-	}
-	// The resynchronization verdict is placement-independent, so the
-	// SuppressAck marks are stamped unconditionally; the spec's Resync
-	// flag (set by the coordinator) decides whether workers act on them.
-	rp, err := ResyncSuppression(g, m)
-	if err != nil {
-		return nil, err
-	}
-	specs := make([]*PartitionSpec, workers)
-	for w := range specs {
-		specs[w] = &PartitionSpec{
-			Graph: g.Name(), Node: w, Workers: workers,
-			Preload: map[uint16][][]byte{}, State: map[string][]byte{},
-		}
-	}
-	for p := 0; p < m.NumProcs; p++ {
-		pp := PartProc{Proc: p}
-		for _, a := range m.Order[p] {
-			pa := PartActor{Name: g.Actor(a).Name}
-			for _, eid := range g.In(a) {
-				pa.In = append(pa.In, uint16(eid))
-			}
-			for _, eid := range g.Out(a) {
-				pa.Out = append(pa.Out, uint16(eid))
-			}
-			pp.Actors = append(pp.Actors, pa)
-		}
-		specs[workerOf[p]].Procs = append(specs[workerOf[p]].Procs, pp)
-	}
-	for _, eid := range g.Edges() {
-		e := g.Edge(eid)
-		srcW, snkW := workerOf[m.Proc[e.Src]], workerOf[m.Proc[e.Snk]]
-		cfg := plan.edgeConfig(eid)
-		_, suppress := rp.Suppressed[eid]
-		pe := PartEdge{
-			ID: uint16(eid), Name: e.Name, Mode: uint8(cfg.Mode),
-			Protocol: uint8(cfg.Protocol), Capacity: uint32(cfg.Capacity),
-			Delay: uint32(plan.delayIters(eid)), Peer: -1, SuppressAck: suppress,
-		}
-		if cfg.Mode == Dynamic {
-			pe.Bytes = uint32(cfg.MaxBytes)
-		} else {
-			pe.Bytes = uint32(cfg.PayloadBytes)
-		}
-		if m.Proc[e.Src] == m.Proc[e.Snk] {
-			pe.SameProc = true
-			specs[srcW].Edges = append(specs[srcW].Edges, pe)
-			continue
-		}
-		if srcW == snkW {
-			pe.Out, pe.In = true, true
-			specs[srcW].Edges = append(specs[srcW].Edges, pe)
-			continue
-		}
-		src := pe
-		src.Out, src.Peer = true, snkW
-		specs[srcW].Edges = append(specs[srcW].Edges, src)
-		snk := pe
-		snk.In, snk.Peer = true, srcW
-		specs[snkW].Edges = append(specs[snkW].Edges, snk)
-	}
-	return specs, nil
-}
-
-// InitialPreloads computes every delayed edge's in-flight payloads at
-// iteration 0 — the canonical delay tokens a fresh run preloads: empty
-// payloads on same-processor edges (whose local queues preload nothing)
-// and dynamic edges, zero blocks of the static transfer size on
-// cross-processor static edges. Locality follows the processor mapping,
-// never worker placement, so the preloaded bytes match Execute's for any
-// placement.
-func InitialPreloads(g *dataflow.Graph, m *sched.Mapping) (map[uint16][][]byte, error) {
-	plan, err := newGraphPlan(g, 1)
-	if err != nil {
-		return nil, err
-	}
-	pre := map[uint16][][]byte{}
-	for _, eid := range g.Edges() {
-		d := plan.delayIters(eid)
-		if d == 0 {
-			continue
-		}
-		e := g.Edge(eid)
-		cfg := plan.edgeConfig(eid)
-		tokens := make([][]byte, d)
-		if m.Proc[e.Src] != m.Proc[e.Snk] && cfg.Mode == Static {
-			blk := make([]byte, cfg.PayloadBytes)
-			for i := range tokens {
-				tokens[i] = blk
-			}
-		} else {
-			for i := range tokens {
-				tokens[i] = []byte{}
-			}
-		}
-		pre[uint16(eid)] = tokens
-	}
-	return pre, nil
 }

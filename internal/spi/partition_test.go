@@ -1,10 +1,13 @@
 package spi
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -144,29 +147,63 @@ func partTestKernels(g *dataflow.Graph, seed uint64, sinks *partTestSinks) (
 	return byID, byName, hooks
 }
 
-// partReference runs the monolithic executor and returns the sink digests
-// and per-actor firings the partitioned runs must reproduce exactly.
+// pipelineGraph loads examples/graphs/pipeline.sdf with every actor on
+// its own processor: a delayed static edge (token-granular under any
+// B > 1) and an undelayed dynamic edge (slab-carried under any B).
+func pipelineGraph(t *testing.T) (*dataflow.Graph, *sched.Mapping) {
+	t.Helper()
+	src, err := os.ReadFile("../../examples/graphs/pipeline.sdf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := dataflow.ParseString(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	actors := g.Actors()
+	m := &sched.Mapping{NumProcs: len(actors), Proc: make([]sched.Processor, len(actors))}
+	for p, a := range actors {
+		m.Proc[a] = sched.Processor(p)
+		m.Order = append(m.Order, []dataflow.ActorID{a})
+	}
+	return g, m
+}
+
+// partReference runs the monolithic scalar executor over partGraph and
+// returns the sink digests and per-actor firings the partitioned runs must
+// reproduce exactly.
 func partReference(t *testing.T, iterations int) (map[string]uint64, map[string]int) {
 	t.Helper()
 	g, m := partGraph()
+	digests, firings, _ := graphReference(t, g, m, iterations)
+	return digests, firings
+}
+
+// graphReference also returns the stateful actors' final checkpoints: the
+// last iteration's inputs reach no sink, so only the state sees them.
+func graphReference(t *testing.T, g *dataflow.Graph, m *sched.Mapping, iterations int) (map[string]uint64, map[string]int, map[string][]byte) {
+	t.Helper()
 	sinks := &partTestSinks{d: map[string]uint64{}}
-	byID, _, _ := partTestKernels(g, 7, sinks)
+	byID, _, hooks := partTestKernels(g, 7, sinks)
 	st, err := Execute(g, m, byID, iterations)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sinks.snapshot(), st.ActorFirings
+	state := map[string][]byte{}
+	for name, h := range hooks {
+		state[name] = h.Checkpoint()
+	}
+	return sinks.snapshot(), st.ActorFirings, state
 }
 
 // runPartitionedEpochs drives the full coordinator loop in miniature:
 // partition per the epoch's placement, thread Tails and State blobs across
 // epoch boundaries (exactly what a live migration ships), run every worker
 // over a fresh per-epoch loopback, and accumulate sink digests. placement
-// maps an epoch index to (workerOf, workers).
-func runPartitionedEpochs(t *testing.T, iterations, epochLen int,
-	placement func(epoch int) ([]int, int)) (map[string]uint64, map[string]int) {
+// maps an epoch index to (workerOf, workers); block is the blocking factor.
+func runPartitionedEpochs(t *testing.T, g *dataflow.Graph, m *sched.Mapping, block, iterations, epochLen int,
+	placement func(epoch int) ([]int, int)) (map[string]uint64, map[string]int, map[string][]byte) {
 	t.Helper()
-	g, m := partGraph()
 	sinks := &partTestSinks{d: map[string]uint64{}}
 	tails, err := InitialPreloads(g, m)
 	if err != nil {
@@ -180,9 +217,12 @@ func runPartitionedEpochs(t *testing.T, iterations, epochLen int,
 			n = left
 		}
 		workerOf, workers := placement(epoch)
-		specs, err := BuildPartitions(g, m, workerOf, workers)
+		specs, err := BuildPartitions(g, m, workerOf, workers, block)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if block > 1 && !carriesSlabs(specs) {
+			t.Fatalf("block %d: no edge carries slabs", block)
 		}
 		// Fresh per-epoch transport and listeners: the epoch fence.
 		tr := transport.NewLoopback()
@@ -216,7 +256,7 @@ func runPartitionedEpochs(t *testing.T, iterations, epochLen int,
 				}
 			}
 			_, byName, hooks := partTestKernels(g, 7, sinks)
-			opts := PartOptions{
+			opts := DistOptions{
 				Transport: tr, Listener: lns[w],
 				Retry: transport.RetryConfig{Attempts: 20, BaseDelay: time.Millisecond,
 					MaxDelay: 5 * time.Millisecond},
@@ -253,7 +293,18 @@ func runPartitionedEpochs(t *testing.T, iterations, epochLen int,
 		}
 		base += n
 	}
-	return sinks.snapshot(), firings
+	return sinks.snapshot(), firings, state
+}
+
+func carriesSlabs(specs []*PartitionSpec) bool {
+	for _, spec := range specs {
+		for _, e := range spec.Edges {
+			if e.Block > 1 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func checkPartDigests(t *testing.T, got, want map[string]uint64, gotF, wantF map[string]int) {
@@ -273,15 +324,36 @@ func checkPartDigests(t *testing.T, got, want map[string]uint64, gotF, wantF map
 	}
 }
 
-// TestExecutePartitionMatchesExecute runs one epoch spread over three
-// workers (one processor each) and checks the sink digests and firing
-// counts are bit-identical to the monolithic run.
+// TestExecutePartitionMatchesExecute runs one epoch of partGraph and of
+// pipeline.sdf over one, two and three workers, scalar and blocked
+// (B = 2, 4), and checks the sink digests and firing counts are
+// bit-identical to the scalar monolithic run. 11 iterations leave a
+// partial final block under every B > 1.
 func TestExecutePartitionMatchesExecute(t *testing.T) {
-	const iterations = 12
-	ref, refF := partReference(t, iterations)
-	got, gotF := runPartitionedEpochs(t, iterations, iterations,
-		func(int) ([]int, int) { return []int{0, 1, 2}, 3 })
-	checkPartDigests(t, got, ref, gotF, refF)
+	const iterations = 11
+	graphs := map[string]func() (*dataflow.Graph, *sched.Mapping){
+		"part":     partGraph,
+		"pipeline": func() (*dataflow.Graph, *sched.Mapping) { return pipelineGraph(t) },
+	}
+	placements := [][]int{{0, 0, 0}, {0, 1, 1}, {0, 1, 2}}
+	for name, build := range graphs {
+		g, m := build()
+		ref, refF, refS := graphReference(t, g, m, iterations)
+		for _, block := range []int{1, 2, 4} {
+			for _, workerOf := range placements {
+				t.Run(fmt.Sprintf("%s/B=%d/workers=%d", name, block, workerOf[len(workerOf)-1]+1), func(t *testing.T) {
+					got, gotF, gotS := runPartitionedEpochs(t, g, m, block, iterations, iterations,
+						func(int) ([]int, int) { return workerOf, workerOf[len(workerOf)-1] + 1 })
+					checkPartDigests(t, got, ref, gotF, refF)
+					for name, want := range refS {
+						if !bytes.Equal(gotS[name], want) {
+							t.Errorf("actor %s final state = %x, want %x", name, gotS[name], want)
+						}
+					}
+				})
+			}
+		}
+	}
 }
 
 // TestExecutePartitionColocated places all processors on one worker: every
@@ -290,7 +362,8 @@ func TestExecutePartitionMatchesExecute(t *testing.T) {
 func TestExecutePartitionColocated(t *testing.T) {
 	const iterations = 10
 	ref, refF := partReference(t, iterations)
-	got, gotF := runPartitionedEpochs(t, iterations, iterations,
+	g, m := partGraph()
+	got, gotF, _ := runPartitionedEpochs(t, g, m, 1, iterations, iterations,
 		func(int) ([]int, int) { return []int{0, 0, 0}, 1 })
 	checkPartDigests(t, got, ref, gotF, refF)
 }
@@ -298,21 +371,25 @@ func TestExecutePartitionColocated(t *testing.T) {
 // TestExecutePartitionMigration re-places processors at every epoch
 // boundary — including shrinking from three workers to two and moving the
 // stateful actor's processor — with Tails and State threaded across, the
-// exact data a live migration ships. Digests must not move by a bit.
+// exact data a live migration ships, scalar and blocked (slab edges carry
+// their tails as tokens). Digests must not move by a bit.
 func TestExecutePartitionMigration(t *testing.T) {
 	const iterations = 13
 	ref, refF := partReference(t, iterations)
-	got, gotF := runPartitionedEpochs(t, iterations, 5, func(epoch int) ([]int, int) {
-		switch epoch % 3 {
-		case 0:
-			return []int{0, 1, 2}, 3
-		case 1:
-			return []int{1, 0, 1}, 2 // B's processor migrates to worker 0
-		default:
-			return []int{0, 0, 1}, 2
-		}
-	})
-	checkPartDigests(t, got, ref, gotF, refF)
+	g, m := partGraph()
+	for _, block := range []int{1, 2, 4} {
+		got, gotF, _ := runPartitionedEpochs(t, g, m, block, iterations, 5, func(epoch int) ([]int, int) {
+			switch epoch % 3 {
+			case 0:
+				return []int{0, 1, 2}, 3
+			case 1:
+				return []int{1, 0, 1}, 2 // B's processor migrates to worker 0
+			default:
+				return []int{0, 0, 1}, 2
+			}
+		})
+		checkPartDigests(t, got, ref, gotF, refF)
+	}
 }
 
 // TestExecutePartitionShortEpochs runs one-iteration epochs — shorter than
@@ -321,7 +398,8 @@ func TestExecutePartitionMigration(t *testing.T) {
 func TestExecutePartitionShortEpochs(t *testing.T) {
 	const iterations = 6
 	ref, refF := partReference(t, iterations)
-	got, gotF := runPartitionedEpochs(t, iterations, 1, func(epoch int) ([]int, int) {
+	g, m := partGraph()
+	got, gotF, _ := runPartitionedEpochs(t, g, m, 1, iterations, 1, func(epoch int) ([]int, int) {
 		if epoch%2 == 0 {
 			return []int{0, 1, 0}, 2
 		}
@@ -341,7 +419,7 @@ func TestExecutePartitionResume(t *testing.T) {
 	g, m := partGraph()
 	sinks := &partTestSinks{d: map[string]uint64{}}
 	workerOf, workers := []int{0, 1, 0}, 2
-	specs, err := BuildPartitions(g, m, workerOf, workers)
+	specs, err := BuildPartitions(g, m, workerOf, workers, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +453,7 @@ func TestExecutePartitionResume(t *testing.T) {
 			}
 		}
 		_, byName, hooks := partTestKernels(g, 7, sinks)
-		opts := PartOptions{
+		opts := DistOptions{
 			Transport: ft, Listener: lns[w],
 			Retry: transport.RetryConfig{Attempts: 20, BaseDelay: time.Millisecond,
 				MaxDelay: 5 * time.Millisecond},
@@ -420,7 +498,7 @@ func TestExecutePartitionAbort(t *testing.T) {
 	g, m := partGraph()
 	sinks := &partTestSinks{d: map[string]uint64{}}
 	workerOf, workers := []int{0, 1, 0}, 2
-	specs, err := BuildPartitions(g, m, workerOf, workers)
+	specs, err := BuildPartitions(g, m, workerOf, workers, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +540,7 @@ func TestExecutePartitionAbort(t *testing.T) {
 			}
 			return inner(iter, in)
 		}
-		opts := PartOptions{
+		opts := DistOptions{
 			Transport: tr, Listener: lns[w], Context: ctx,
 			Retry: transport.RetryConfig{Attempts: 20, BaseDelay: time.Millisecond,
 				MaxDelay: 5 * time.Millisecond},
@@ -489,21 +567,72 @@ func TestExecutePartitionAbort(t *testing.T) {
 	}
 }
 
+// TestExecutePartitionCancelledHandshake dials a peer that accepts the
+// data connection but never answers HELLO, then cancels the run: the
+// executor must close the half-open connection and return the context
+// error promptly instead of waiting out the handshake timeout.
+func TestExecutePartitionCancelledHandshake(t *testing.T) {
+	g, m := partGraph()
+	specs, err := BuildPartitions(g, m, []int{0, 1, 0}, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, err := InitialPreloads(g, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := transport.NewLoopback()
+	ln, err := tr.Listen("mute-w0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan transport.Conn, 1)
+	go func() {
+		c, _ := ln.Accept() // accepted, never read: a mute peer
+		accepted <- c
+	}()
+
+	spec := specs[1]
+	spec.Iterations, spec.Addrs = 10, []string{ln.Addr(), "unused"}
+	for i := range spec.Edges {
+		if e := &spec.Edges[i]; e.Out && e.Delay > 0 {
+			spec.Preload[e.ID] = pre[e.ID]
+		}
+	}
+	_, byName, _ := partTestKernels(g, 7, &partTestSinks{d: map[string]uint64{}})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(50*time.Millisecond, cancel)
+	start := time.Now()
+	_, err = ExecutePartition(spec, byName, DistOptions{Transport: tr, Context: ctx})
+	elapsed := time.Since(start)
+	if c := <-accepted; c != nil {
+		c.Close()
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want the context error", err)
+	}
+	if elapsed > 500*time.Millisecond {
+		t.Fatalf("cancelled handshake returned after %v, want < 500ms", elapsed)
+	}
+}
+
 // TestPartitionSpecValidation exercises the spec validator and the
 // coordinator-side builder errors.
 func TestPartitionSpecValidation(t *testing.T) {
 	g, m := partGraph()
-	if _, err := BuildPartitions(g, m, []int{0, 1}, 2); err == nil {
+	if _, err := BuildPartitions(g, m, []int{0, 1}, 2, 1); err == nil {
 		t.Error("short placement accepted")
 	}
-	if _, err := BuildPartitions(g, m, []int{0, 0, 3}, 3); err == nil {
+	if _, err := BuildPartitions(g, m, []int{0, 0, 3}, 3, 1); err == nil {
 		t.Error("out-of-range placement accepted")
 	}
-	if _, err := BuildPartitions(g, m, []int{0, 0, 0}, 2); err == nil ||
+	if _, err := BuildPartitions(g, m, []int{0, 0, 0}, 2, 1); err == nil ||
 		!strings.Contains(err.Error(), "hosts no processors") {
 		t.Errorf("empty worker accepted: %v", err)
 	}
-	specs, err := BuildPartitions(g, m, []int{0, 1, 0}, 2)
+	specs, err := BuildPartitions(g, m, []int{0, 1, 0}, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,17 +640,17 @@ func TestPartitionSpecValidation(t *testing.T) {
 	spec.BaseIter, spec.Iterations, spec.Addrs = 0, 1, []string{"x", "y"}
 	sinks := &partTestSinks{d: map[string]uint64{}}
 	_, byName, _ := partTestKernels(g, 7, sinks)
-	if _, err := ExecutePartition(spec, nil, PartOptions{}); err == nil {
+	if _, err := ExecutePartition(spec, nil, DistOptions{}); err == nil {
 		t.Error("missing kernels accepted")
 	}
 	bad := *spec
 	bad.Iterations = 0
-	if _, err := ExecutePartition(&bad, byName, PartOptions{}); err == nil {
+	if _, err := ExecutePartition(&bad, byName, DistOptions{}); err == nil {
 		t.Error("zero iterations accepted")
 	}
 	bad = *spec
 	bad.Node = 2
-	if _, err := ExecutePartition(&bad, byName, PartOptions{}); err == nil {
+	if _, err := ExecutePartition(&bad, byName, DistOptions{}); err == nil {
 		t.Error("node out of worker range accepted")
 	}
 	bad = *spec
@@ -531,7 +660,7 @@ func TestPartitionSpecValidation(t *testing.T) {
 			bad.Edges[i].Peer = 5
 		}
 	}
-	if _, err := ExecutePartition(&bad, byName, PartOptions{}); err == nil {
+	if _, err := ExecutePartition(&bad, byName, DistOptions{}); err == nil {
 		t.Error("out-of-range peer accepted")
 	}
 }

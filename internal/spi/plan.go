@@ -1,15 +1,14 @@
 package spi
 
 import (
-	"fmt"
-
 	"repro/internal/dataflow"
 	"repro/internal/vts"
 )
 
-// Shared edge planning for the functional executors (Execute and
-// ExecuteDistributed): VTS conversion, buffer bounds, and the per-edge
-// mode/protocol/capacity selection — the compile-time half of SPI_init.
+// Edge planning for the lowering (PlanPartitions): VTS conversion, buffer
+// bounds, and the per-edge mode/protocol/capacity selection — the
+// compile-time half of SPI_init. Its output is the PartEdge list every
+// execution runs from.
 
 type graphPlan struct {
 	g      *dataflow.Graph
@@ -70,20 +69,20 @@ func (p *graphPlan) edgeBlock(eid dataflow.EdgeID) int {
 
 // edgeConfig selects the SPI component (static/dynamic framing) and the
 // buffer protocol (BBS when the VTS analysis proves a bound, else UBS) for
-// one interprocessor edge — identical for in-process and networked edges,
-// so a distributed run and its single-process reference use the same
-// protocols on the same edges. A blocked edge (edgeBlock > 1) carries
-// B-token slabs in SPI_dynamic framing — the final block of a run may be
-// partial — with capacity, preload, and the BBS credit pool accounted in
-// slabs, scaling the eq. 2 memory bound by B.
-func (p *graphPlan) edgeConfig(eid dataflow.EdgeID) EdgeConfig {
+// one edge carrying bf iterations per message — identical for in-process
+// and networked edges, so a distributed run and its single-process
+// reference use the same protocols on the same edges. A blocked edge
+// (bf > 1, see edgeBlock) carries bf-token slabs in SPI_dynamic framing —
+// the final block of a run may be partial — with capacity, preload, and
+// the BBS credit pool accounted in slabs, scaling the eq. 2 memory bound
+// by bf.
+func (p *graphPlan) edgeConfig(eid dataflow.EdgeID, bf int) EdgeConfig {
 	info := p.conv.Info(eid)
 	cfg := EdgeConfig{ID: EdgeID(eid), Name: p.g.Edge(eid).Name, Mode: Static, PayloadBytes: int(info.BMax)}
 	if info.Dynamic {
 		cfg.Mode = Dynamic
 		cfg.MaxBytes = int(info.BMax)
 	}
-	bf := p.edgeBlock(eid)
 	if bf > 1 {
 		cfg.Mode = Dynamic
 		cfg.MaxBytes = SlabBound(int(info.BMax), info.Dynamic, bf)
@@ -105,52 +104,24 @@ func (p *graphPlan) edgeConfig(eid dataflow.EdgeID) EdgeConfig {
 	return cfg
 }
 
-// pad enforces the VTS bound and zero-pads short static payloads to the
-// fixed transfer size.
-func (p *graphPlan) pad(eid dataflow.EdgeID, payload []byte) ([]byte, error) {
+// partEdge renders one edge's plan as a PartEdge with no endpoints set.
+// Same-processor edges are local queues and never carry slabs.
+func (p *graphPlan) partEdge(eid dataflow.EdgeID, sameProc bool) PartEdge {
+	bf := 1
+	if !sameProc {
+		bf = p.edgeBlock(eid)
+	}
+	cfg := p.edgeConfig(eid, bf)
 	info := p.conv.Info(eid)
-	if int64(len(payload)) > info.BMax {
-		return nil, fmt.Errorf("spi: kernel produced %d bytes on edge %s, bound %d",
-			len(payload), p.g.Edge(eid).Name, info.BMax)
+	pe := PartEdge{
+		ID: uint16(eid), Name: cfg.Name, Mode: uint8(cfg.Mode), Bytes: uint32(cfg.PayloadBytes),
+		Protocol: uint8(cfg.Protocol), Capacity: uint32(cfg.Capacity),
+		Delay: uint32(p.delayIters(eid)), Block: uint32(bf),
+		BMax: uint32(info.BMax), Dynamic: info.Dynamic,
+		SameProc: sameProc, Peer: -1,
 	}
-	if !info.Dynamic && int64(len(payload)) != info.BMax {
-		out := make([]byte, info.BMax)
-		copy(out, payload)
-		return out, nil
+	if cfg.Mode == Dynamic {
+		pe.Bytes = uint32(cfg.MaxBytes)
 	}
-	return payload, nil
-}
-
-// preload sends an edge's initial-delay messages (empty blocks) through
-// its sender so iteration 0 finds its tokens, mirroring the channel
-// preloading of the platform lowering. The burst goes out as one
-// SendBatch so a write-coalescing link ships all delay tokens in a
-// single flush. On a blocked edge the delay goes out as delay/B full
-// slabs of B empty tokens — the slab-level image of the scalar preload.
-func (p *graphPlan) preload(tx *Sender, eid dataflow.EdgeID, cfg EdgeConfig) error {
-	bf := p.edgeBlock(eid)
-	n := p.delayIters(eid) / bf
-	if n == 0 {
-		return nil
-	}
-	payloads := make([][]byte, n)
-	if bf > 1 {
-		info := p.conv.Info(eid)
-		empty := make([][]byte, bf)
-		slab, err := PackSlab(nil, empty, int(info.BMax), info.Dynamic)
-		if err != nil {
-			return err
-		}
-		// Send copies, so every delay slab can share one buffer.
-		for i := range payloads {
-			payloads[i] = slab
-		}
-	} else if cfg.Mode == Static {
-		// Send copies, so every delay token can share one zero block.
-		blk := make([]byte, cfg.PayloadBytes)
-		for i := range payloads {
-			payloads[i] = blk
-		}
-	}
-	return tx.SendBatch(payloads)
+	return pe
 }

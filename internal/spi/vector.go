@@ -182,7 +182,8 @@ func LiftKernel(k Kernel) VectorKernel {
 	}
 }
 
-// VecOptions configures blocked execution for Execute / ExecuteDistributed.
+// VecOptions configures ExecuteBlocked (ExecuteDistributed takes the same
+// knobs in DistOptions).
 // The zero value is scalar execution.
 type VecOptions struct {
 	// Block is the blocking factor B: the number of consecutive graph
@@ -202,7 +203,8 @@ type VecOptions struct {
 	// Context, when non-nil, bounds the run: cancellation releases every
 	// blocked actor and the execution returns the context error.
 	Context context.Context
-	// Obs, when non-nil, receives the watchdog's diagnostic dump
-	// (per-edge queue/credit gauges and trace instants on a stall).
+	// Obs, when non-nil, instruments the run as DistOptions.Obs does
+	// (per-edge counters, actor firing metrics, trace events) and
+	// receives the watchdog's diagnostic dump on a stall.
 	Obs *obs.Observer
 }

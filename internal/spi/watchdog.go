@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -74,8 +73,10 @@ func (r *Runtime) progressSum() int64 {
 // firedSum totals completed firings across this node's actors.
 func (env *execEnv) firedSum() int64 {
 	var sum int64
-	for _, n := range env.fired {
-		sum += atomic.LoadInt64(n)
+	for _, acts := range env.actors {
+		for _, a := range acts {
+			sum += a.fired.Load()
+		}
 	}
 	return sum
 }
@@ -95,9 +96,9 @@ func (w watchConfig) armed() bool {
 // runWatched is env.run with the watchdog alongside: it returns the
 // per-processor outcomes plus the watchdog's verdict — a *StallError, the
 // context error, or nil if the run finished (or failed) on its own.
-func (env *execEnv) runWatched(procs []int, iterations int, w watchConfig) ([]error, error) {
+func (env *execEnv) runWatched(w watchConfig) ([]error, error) {
 	if !w.armed() {
-		return env.run(procs, iterations), nil
+		return env.run(), nil
 	}
 	done := make(chan struct{})
 	var (
@@ -107,9 +108,9 @@ func (env *execEnv) runWatched(procs []int, iterations int, w watchConfig) ([]er
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		werr = env.watch(done, w, iterations)
+		werr = env.watch(done, w)
 	}()
-	errs := env.run(procs, iterations)
+	errs := env.run()
 	close(done)
 	wg.Wait()
 	return errs, werr
@@ -119,7 +120,7 @@ func (env *execEnv) runWatched(procs []int, iterations int, w watchConfig) ([]er
 // the no-progress window elapses. On stall or cancellation it dumps the
 // diagnostic snapshot and closes every runtime edge, turning the silent
 // deadlock into an ErrClosed cascade the processors report normally.
-func (env *execEnv) watch(done <-chan struct{}, w watchConfig, iterations int) error {
+func (env *execEnv) watch(done <-chan struct{}, w watchConfig) error {
 	var ctxDone <-chan struct{}
 	if w.ctx != nil {
 		ctxDone = w.ctx.Done()
@@ -145,7 +146,7 @@ func (env *execEnv) watch(done <-chan struct{}, w watchConfig, iterations int) e
 			return nil
 		case <-ctxDone:
 			err := fmt.Errorf("spi: node %d run cancelled: %w", w.node, w.ctx.Err())
-			env.dumpStall(w, "deadline", time.Since(lastMove), iterations)
+			env.dumpStall(w, "deadline", time.Since(lastMove))
 			env.rt.CloseAll()
 			return err
 		case <-tick:
@@ -158,8 +159,8 @@ func (env *execEnv) watch(done <-chan struct{}, w watchConfig, iterations int) e
 			if silent < w.stall {
 				continue
 			}
-			serr := env.stallError(w.node, w.stall, iterations)
-			env.dumpStall(w, "stall", silent, iterations)
+			serr := env.stallError(w.node, w.stall)
+			env.dumpStall(w, "stall", silent)
 			env.rt.CloseAll()
 			return serr
 		}
@@ -173,13 +174,14 @@ func (env *execEnv) progress() int64 {
 
 // stallError names the actors that had not completed all iterations when
 // the watchdog fired.
-func (env *execEnv) stallError(node int, window time.Duration, iterations int) *StallError {
+func (env *execEnv) stallError(node int, window time.Duration) *StallError {
 	e := &StallError{Node: node, Window: window, Firings: map[string]int{}}
-	for a, n := range env.fired {
-		if got := int(atomic.LoadInt64(n)); got < iterations {
-			name := env.g.Actor(a).Name
-			e.Stalled = append(e.Stalled, name)
-			e.Firings[name] = got
+	for _, acts := range env.actors {
+		for _, a := range acts {
+			if got := int(a.fired.Load()); got < env.spec.Iterations {
+				e.Stalled = append(e.Stalled, a.name)
+				e.Firings[a.name] = got
+			}
 		}
 	}
 	sort.Strings(e.Stalled)
@@ -190,7 +192,7 @@ func (env *execEnv) stallError(node int, window time.Duration, iterations int) *
 // one counter tick for the event, per-edge gauges for occupancy and the
 // unacknowledged window, and one trace instant per edge so the stall is
 // visible on the timeline next to the traffic that preceded it.
-func (env *execEnv) dumpStall(w watchConfig, kind string, silent time.Duration, iterations int) {
+func (env *execEnv) dumpStall(w watchConfig, kind string, silent time.Duration) {
 	if w.o == nil {
 		return
 	}
@@ -223,13 +225,14 @@ func (env *execEnv) dumpStall(w watchConfig, kind string, silent time.Duration, 
 		tr.Instant("watchdog", "edge:"+name, w.o.Pid(), int(e.cfg.ID),
 			obs.A("queued", queued), obs.A("sent", sent), obs.A("acked", acked), obs.A("closed", closed))
 	}
-	for a, n := range env.fired {
-		got := atomic.LoadInt64(n)
-		if int(got) >= iterations {
-			continue
+	iterations := int64(env.spec.Iterations)
+	for _, acts := range env.actors {
+		for _, a := range acts {
+			if got := a.fired.Load(); got < iterations {
+				tr.Instant("watchdog", "actor:"+a.name, w.o.Pid(), actorRowBase,
+					obs.A("firings", got), obs.A("iterations", iterations))
+			}
 		}
-		tr.Instant("watchdog", "actor:"+env.g.Actor(a).Name, w.o.Pid(), actorRowBase,
-			obs.A("firings", got), obs.A("iterations", int64(iterations)))
 	}
 }
 
